@@ -65,14 +65,6 @@ CLIENTS = 8
 QUICK_REQUESTS = 60
 QUICK_CLIENTS = 4
 
-#: identical-mix stampede row: N clients fire the *same* cold shape
-#: concurrently, per round over fresh shapes.  With the pre-admission
-#: batcher on, each round must cost one admission slot and one compile.
-STAMPEDE_CLIENTS = 8
-STAMPEDE_ROUNDS = 4
-QUICK_STAMPEDE_ROUNDS = 2
-STAMPEDE_WINDOW_S = 0.025
-
 
 def _schedule(n_requests: int, seed: int):
     """The deterministic request schedule: ~80% hot, ~20% cold distinct.
@@ -286,149 +278,6 @@ def measure(n_requests=REQUESTS, n_clients=CLIENTS, seed=0,
     }
 
 
-def _stampede_once(n_clients: int, rounds: int, seed: int,
-                   batch_window_s: float) -> dict:
-    """One stampede run: per round, ``n_clients`` concurrent identical
-    cold requests; returns tallies read off the observability spine."""
-    from repro import obs
-    from repro.service import KernelService, ThreadedGateway
-    from repro.service.client import GatewayClient
-    from repro.service.wire import encode_payload
-
-    cache_dir = tempfile.mkdtemp(prefix="repro-bench-stampede-")
-    try:
-        with obs.recording(trace=False, metrics=True) as ob:
-            svc = KernelService(
-                cache_dir=cache_dir, workers=max(8, n_clients),
-                farm_workers=0, queue_limit=max(64, 4 * n_clients),
-            )
-            gw = ThreadedGateway(
-                svc, max_inflight=max(64, 2 * n_clients),
-                handler_threads=max(8, n_clients),
-                batch_window_s=batch_window_s,
-                batch_max=max(16, n_clients),
-            )
-            try:
-                address = "%s:%d" % gw.address
-                clients = [
-                    GatewayClient([address], retries=2, seed=seed + i)
-                    for i in range(n_clients)
-                ]
-                # Establish every connection up front so the TCP
-                # handshake never eats into the batch window.
-                for c in clients:
-                    assert c.ready()
-                identical = 0
-                start = time.perf_counter()
-                for r in range(rounds):
-                    kernel = COLD_KERNELS[r % len(COLD_KERNELS)]
-                    size = 101 + 2 * r  # odd, never warmed elsewhere
-                    results = [None] * n_clients
-                    errors = []
-                    barrier = threading.Barrier(n_clients)
-
-                    def fire(i, kernel=kernel, size=size,
-                             results=results, errors=errors,
-                             barrier=barrier):
-                        try:
-                            barrier.wait()
-                            results[i] = clients[i].compile_run(
-                                kernel, flow=FLOW, target="sse", size=size,
-                            )
-                        except Exception as exc:  # surfaced below
-                            errors.append(
-                                f"client {i}: {type(exc).__name__}: {exc}"
-                            )
-
-                    threads = [
-                        threading.Thread(target=fire, args=(i,), daemon=True)
-                        for i in range(n_clients)
-                    ]
-                    for t in threads:
-                        t.start()
-                    for t in threads:
-                        t.join()
-                    assert not errors, errors
-                    statuses = [r.get("status") for r in results]
-                    assert statuses == ["ok"] * n_clients, statuses
-                    # The stampede-proof byte-identity check: every
-                    # waiter of the round saw the same canonical payload.
-                    if len({encode_payload(r) for r in results}) == 1:
-                        identical += 1
-                elapsed = time.perf_counter() - start
-                for c in clients:
-                    c.close()
-                gw_stats = gw.stats()
-                adm = svc.admission.stats()
-            finally:
-                gw.close()
-                svc.close()
-            snap = ob.metrics_snapshot()
-            hist = snap.get("gateway.request_seconds", {"count": 0})
-    finally:
-        shutil.rmtree(cache_dir, ignore_errors=True)
-
-    total = rounds * n_clients
-    assert gw_stats["frame_errors"] == 0, gw_stats
-    assert hist["count"] == total, (hist["count"], total)
-    p99 = percentile_from_histogram(hist, 0.99)
-    return {
-        "batch_window_ms": round(batch_window_s * 1e3, 3),
-        "rounds": rounds,
-        "clients": n_clients,
-        "requests": total,
-        "identical_payload_rounds": identical,
-        "compiles": snap.get("jit.compiles", {}).get("value", 0),
-        "admitted": adm["admitted"],
-        "batched": adm["batched"],
-        "batch_merged": gw_stats["batch.merged"],
-        "batch_flushed": gw_stats["batch.flushed"],
-        "elapsed_s": round(elapsed, 4),
-        "p50_ms": round(percentile_from_histogram(hist, 0.50) * 1e3, 3),
-        "p99_ms": round(p99 * 1e3, 3) if p99 is not None else None,
-    }
-
-
-def measure_stampede(n_clients=STAMPEDE_CLIENTS, rounds=STAMPEDE_ROUNDS,
-                     seed=0) -> dict:
-    """The identical-mix stampede row: the same storm twice — batched
-    (one admission slot + one compile per round) vs. unbatched (one
-    admission slot per *client*; single-flight still dedups compiles).
-
-    The batched run must prove the merge: exactly ``rounds`` admissions
-    and ``rounds`` compiles for ``rounds * n_clients`` requests, with
-    byte-identical payloads inside every round.
-    """
-    batched = _stampede_once(n_clients, rounds, seed,
-                             batch_window_s=STAMPEDE_WINDOW_S)
-    unbatched = _stampede_once(n_clients, rounds, seed,
-                               batch_window_s=0.0)
-
-    # The stampede proof (acceptance criteria): per round of N identical
-    # requests, the batched gateway spends one admission slot and one
-    # compile, and every waiter reads the same bytes.
-    assert batched["compiles"] == rounds, batched
-    assert batched["admitted"] == rounds, batched
-    assert batched["batched"] == rounds * (n_clients - 1), batched
-    assert batched["identical_payload_rounds"] == rounds, batched
-    # Unbatched: every client burns its own admission slot (single-
-    # flight still coalesces the compiles downstream).
-    assert unbatched["admitted"] == rounds * n_clients, unbatched
-    assert unbatched["compiles"] == rounds, unbatched
-
-    return {
-        "clients_per_round": n_clients,
-        "rounds": rounds,
-        "admissions_per_round": {
-            "batched": batched["admitted"] / rounds,
-            "unbatched": unbatched["admitted"] / rounds,
-        },
-        "stampede_ratio": n_clients / (batched["admitted"] / rounds),
-        "batched": batched,
-        "unbatched": unbatched,
-    }
-
-
 def _print(payload) -> None:
     lat = payload["latency"]
     hot, cold = payload["hot"], payload["cold"]
@@ -444,29 +293,6 @@ def _print(payload) -> None:
     print(f"  gateway: peak_inflight={gw['peak_inflight']}/"
           f"{gw['max_inflight']}, frame_errors={gw['frame_errors']}, "
           f"sheds={gw['rejected_overload']}")
-    st = payload.get("stampede")
-    if st:
-        b, u = st["batched"], st["unbatched"]
-        print(f"  stampede ({st['clients_per_round']} clients x "
-              f"{st['rounds']} identical rounds): "
-              f"batched {b['admitted']} admissions / {b['compiles']} "
-              f"compiles (p99={b['p99_ms']:.2f}ms) vs unbatched "
-              f"{u['admitted']} admissions / {u['compiles']} compiles "
-              f"(p99={u['p99_ms']:.2f}ms); "
-              f"ratio {st['stampede_ratio']:.1f}x")
-
-
-def test_gateway_stampede(benchmark):
-    """pytest-benchmark entry: the identical-mix stampede proof."""
-    from conftest import once
-
-    st = once(
-        benchmark,
-        lambda: measure_stampede(STAMPEDE_CLIENTS, QUICK_STAMPEDE_ROUNDS,
-                                 seed=0),
-    )
-    benchmark.extra_info["stampede_ratio"] = st["stampede_ratio"]
-    assert st["stampede_ratio"] >= 4.0, st
 
 
 def test_gateway_latency(benchmark):
@@ -499,20 +325,12 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--max-p99-ms", type=float, default=None,
                         help="exit non-zero if p99 exceeds this")
-    parser.add_argument("--min-stampede-ratio", type=float, default=None,
-                        help="exit non-zero if the identical-mix batched "
-                        "run admits more than clients/RATIO requests per "
-                        "round")
     args = parser.parse_args(argv)
 
     n_requests = args.requests or (QUICK_REQUESTS if args.quick else REQUESTS)
     n_clients = args.clients or (QUICK_CLIENTS if args.quick else CLIENTS)
     payload = measure(n_requests, n_clients, seed=args.seed,
                       trace_out=args.trace_out)
-    rounds = QUICK_STAMPEDE_ROUNDS if args.quick else STAMPEDE_ROUNDS
-    payload["stampede"] = measure_stampede(
-        STAMPEDE_CLIENTS, rounds, seed=args.seed
-    )
     _print(payload)
 
     with open(args.out, "w") as f:
@@ -525,14 +343,6 @@ def main(argv=None) -> int:
     p99 = payload["latency"]["p99_ms"]
     if args.max_p99_ms is not None and p99 > args.max_p99_ms:
         print(f"FAIL: p99 {p99:.2f}ms > {args.max_p99_ms:.2f}ms",
-              file=sys.stderr)
-        return 1
-    ratio = payload["stampede"]["stampede_ratio"]
-    if args.min_stampede_ratio is not None and (
-            ratio < args.min_stampede_ratio):
-        print(f"FAIL: stampede ratio {ratio:.1f}x < "
-              f"{args.min_stampede_ratio:.1f}x "
-              f"(batched identical mix admitted too much)",
               file=sys.stderr)
         return 1
     return 0

@@ -367,8 +367,6 @@ def _serve_listen(args, svc) -> int:
         idle_timeout_s=args.idle_timeout,
         drain_grace_s=args.drain_grace,
         drain_budget_s=args.drain_budget,
-        batch_window_s=args.batch_window_ms / 1000.0,
-        batch_max=args.batch_max,
         close_service=True,
     )
 
@@ -415,8 +413,6 @@ def _serve_fleet(args) -> int:
         cache_dir=cache_dir,
         farm_workers=args.farm_workers,
         max_inflight=args.max_inflight,
-        batch_window_ms=args.batch_window_ms,
-        batch_max=args.batch_max,
         marker_ttl_s=args.marker_ttl,
         farm_budget_s=args.farm_budget,
     )
@@ -708,16 +704,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--drain-budget", type=float, default=10.0,
                    help="seconds in-flight requests get to finish during "
                    "drain")
-    p.add_argument("--batch-window-ms", type=float, default=0.0,
-                   help="pre-admission batching window in milliseconds: "
-                   "same-shape compile requests arriving within it merge "
-                   "into one flight group (one admission slot, one "
-                   "compile, fanned out to every waiter); 0 disables "
-                   "batching")
-    p.add_argument("--batch-max", type=int, default=16,
-                   help="flush a flight group early once it holds this "
-                   "many waiters (bounds fan-out latency under a "
-                   "stampede)")
     _add_obs_flags(p)
     p.set_defaults(func=_cmd_serve)
 

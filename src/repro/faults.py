@@ -79,7 +79,6 @@ __all__ = [
     "SlowWire",
     "TruncatedFrame",
     "GarbageFrame",
-    "BatchStorm",
     "injected",
     "install",
     "uninstall",
@@ -248,23 +247,6 @@ class TruncatedFrame:
 
 
 @dataclass(frozen=True)
-class BatchStorm:
-    """A same-shape stampede aimed at the gateway's pre-admission
-    batcher: ``waiters`` raw connections send byte-identical compile
-    frames inside one batch window, so they must merge into one flight
-    group (one admission slot, one compile).  With ``kill_leader`` the
-    first connection — the one whose arrival *opened* the group — is
-    torn down mid-window; the flush timer is owned by the event loop,
-    so the survivors must still receive complete, byte-identical
-    response frames and the batch table must end empty (no leaked
-    group entry, no double-answered waiter).  Driven by the gateway
-    chaos campaign's raw-socket client."""
-
-    waiters: int = 4
-    kill_leader: bool = False
-
-
-@dataclass(frozen=True)
 class GarbageFrame:
     """The hostile peer sends bytes that are not a valid frame.
     ``mode`` picks the corruption: ``"random"`` (seeded noise),
@@ -399,13 +381,12 @@ class FaultPlan:
 
     def wire_client_fault(self):
         """The plan's hostile-client wire fault
-        (:class:`SlowWire`/:class:`TruncatedFrame`/:class:`GarbageFrame`/
-        :class:`BatchStorm`), or None.  Read by the gateway chaos
-        campaign's raw-socket driver, not by an in-process injection
-        point: these faults live on the *peer's* side of the wire."""
+        (:class:`SlowWire`/:class:`TruncatedFrame`/:class:`GarbageFrame`),
+        or None.  Read by the gateway chaos campaign's raw-socket
+        client, not by an in-process injection point: these faults live
+        on the *peer's* side of the wire."""
         for f in self.faults:
-            if isinstance(f, (SlowWire, TruncatedFrame, GarbageFrame,
-                              BatchStorm)):
+            if isinstance(f, (SlowWire, TruncatedFrame, GarbageFrame)):
                 return f
         return None
 

@@ -21,7 +21,8 @@ layer                     passing outcomes
 ``jit-materialize``       whole-function materialization failure triggers
                           the force-scalar compile retry; run still checks
 ``vm-mem``                injected memory fault raises the *identical*
-                          classified VMError from both execution engines
+                          classified VMError from every registered
+                          execution engine
 ``vm-misalign``           skewed array bases either still check or raise a
                           classified VMError (alignment trap)
 ``harness``               crashed/stalled workers are quarantined; every
@@ -31,8 +32,8 @@ layer                     passing outcomes
 Failing outcomes — ``silent-wrong`` (corruption accepted), ``wrong-answer``
 (fallback produced values that fail the numpy check), ``unclassified-trap``
 (an exception outside the :mod:`repro.errors` taxonomy), and
-``parity-mismatch`` (the two VM engines disagree on a trap) — make the
-campaign fail.
+``parity-mismatch`` (an execution engine disagrees with the reference
+interpreter on a trap) — make the campaign fail.
 
 Campaigns are deterministic in ``seed`` and run single-process (the
 ``harness`` layer, which needs real worker processes, is opt-in via
@@ -253,13 +254,14 @@ def _trial_vm_mem(kernel: str, size: int, rng) -> ChaosTrial:
             )
         except Exception as exc:
             observed[engine] = _classified_outcome(exc) + (str(exc),)
-    a, b = observed["threaded"], observed["reference"]
-    if a != b:
-        return ChaosTrial(
-            "vm-mem", kernel, repr(fault), "parity-mismatch",
-            f"threaded={a} reference={b}",
-        )
-    outcome, detail = a[0], a[1]
+    ref = observed["reference"]
+    for engine, seen in observed.items():
+        if seen != ref:
+            return ChaosTrial(
+                "vm-mem", kernel, repr(fault), "parity-mismatch",
+                f"{engine}={seen} reference={ref}",
+            )
+    outcome, detail = ref[0], ref[1]
     return ChaosTrial("vm-mem", kernel, repr(fault), outcome, detail)
 
 
@@ -860,9 +862,8 @@ def run_service_campaign(
 GATEWAY_LAYERS = (
     "gw-plain", "gw-garbage", "gw-truncated", "gw-slowloris",
     "gw-conn-drop", "gw-overload", "gw-deadline", "gw-jit-fault",
-    "gw-batch",
 )
-_GATEWAY_WEIGHTS = (30, 10, 10, 8, 12, 8, 10, 12, 12)
+_GATEWAY_WEIGHTS = (30, 10, 10, 8, 12, 8, 10, 12)
 
 
 def _pid_alive(pid: int) -> bool:
@@ -969,15 +970,9 @@ class _GatewaySoak(_WireJudge):
         # A short idle timeout keeps the slowloris trials sub-second;
         # drain_grace_s=0 because readiness-vs-listener ordering is the
         # drain epilogue's (and the unit tests') job, not the soak's.
-        # Batching is ON for the whole soak (not only the gw-batch
-        # layer): every other fault layer then also exercises its
-        # compile requests *through* the pre-admission batcher, so the
-        # batch path earns the same zero-torn / zero-unclassified
-        # invariants as the direct path.
         self.gw = ThreadedGateway(
             self.svc, max_inflight=8, idle_timeout_s=0.35,
             drain_grace_s=0.0, drain_budget_s=10.0,
-            batch_window_s=0.05, batch_max=8,
         )
         self.addr = self.gw.address
         self.client = GatewayClient(
@@ -1287,104 +1282,6 @@ class _GatewaySoak(_WireJudge):
             resp = self.client.request(req, deadline_s=60.0)
         return self.judge("gw-jit-fault", repr(fault), req, resp)
 
-    def batch_storm(self, kernel: str) -> ChaosTrial:
-        """A same-shape stampede into the pre-admission batcher.
-
-        ``waiters`` raw connections send byte-identical compile frames
-        inside one batch window; with ``kill_leader`` the connection
-        that *opened* the group is torn down mid-window.  Invariants:
-        every surviving waiter reads one complete, CRC-valid response
-        frame (zero torn fan-outs), exactly one frame (zero double
-        answers), waiters that report the same flight group got
-        byte-identical payloads, and the batch table ends empty (zero
-        leaked group entries)."""
-        import socket as _socket
-
-        from ..service import wire
-
-        waiters = self.rng.randrange(3, 8)
-        kill_leader = self.rng.random() < 0.4
-        fault = faults.BatchStorm(waiters=waiters, kill_leader=kill_leader)
-        req = self._payload(kernel)
-        frame = wire.encode_frame(req, deadline_s=30.0)
-        socks = []
-        try:
-            for _ in range(waiters):
-                s = _socket.create_connection(self.addr, timeout=5.0)
-                s.setsockopt(_socket.IPPROTO_TCP, _socket.TCP_NODELAY, 1)
-                socks.append(s)
-            # The first send opens the group (it is the leader); the
-            # rest join inside the window.
-            for s in socks:
-                s.sendall(frame)
-            survivors = socks
-            if kill_leader:
-                socks[0].close()
-                survivors = socks[1:]
-            replies = []
-            for s in survivors:
-                payload, torn = self._raw_reply(s, timeout=30.0)
-                if torn:
-                    return ChaosTrial("gw-batch", kernel, repr(fault),
-                                      "torn-response",
-                                      "torn batch fan-out frame")
-                if payload is None:
-                    return ChaosTrial("gw-batch", kernel, repr(fault),
-                                      "silent-wrong",
-                                      "a batched waiter got no reply")
-                replies.append(payload)
-            # Zero double answers: one frame per waiter, nothing else
-            # buffered on any surviving connection.
-            for s in survivors:
-                s.settimeout(0.1)
-                try:
-                    extra = s.recv(1)
-                except (_socket.timeout, OSError):
-                    extra = b""
-                if extra:
-                    return ChaosTrial("gw-batch", kernel, repr(fault),
-                                      "silent-wrong",
-                                      "a batched waiter was answered twice")
-        finally:
-            for s in socks:
-                try:
-                    s.close()
-                except OSError:
-                    pass
-        for payload in replies:
-            trial = self.judge("gw-batch", repr(fault), req, payload)
-            if not trial.ok:
-                return trial
-        # Waiters answered out of one flight group (same ``batched``
-        # count) must have byte-identical payloads; scheduling may
-        # legitimately split a storm across groups, so identity is
-        # asserted per group, not across the storm.
-        by_group: dict = {}
-        for payload in replies:
-            by_group.setdefault(payload.get("batched", 1), set()).add(
-                wire.encode_payload(payload)
-            )
-        for batched, blobs in by_group.items():
-            if batched > 1 and len(blobs) > 1:
-                return ChaosTrial(
-                    "gw-batch", kernel, repr(fault), "torn-response",
-                    f"waiters of one {batched}-wide flight group got "
-                    f"{len(blobs)} distinct payloads",
-                )
-        leaked = self.gw.stats().get("batch_pending", 0)
-        if leaked:
-            return ChaosTrial("gw-batch", kernel, repr(fault),
-                              "silent-wrong",
-                              f"{leaked} flight group(s) leaked in the "
-                              f"batch table after fan-out")
-        merged = max(by_group) if by_group else 0
-        return ChaosTrial(
-            "gw-batch", kernel, repr(fault), "correct",
-            f"{len(replies)} waiter(s) answered"
-            + (f", widest group {merged}" if merged > 1 else "")
-            + (", leader killed mid-window" if kill_leader else ""),
-        )
-
     # -- scripted epilogue trials ---------------------------------------------
 
     def drain_trial(self) -> ChaosTrial:
@@ -1554,8 +1451,6 @@ def run_gateway_campaign(
                 t = soak.overload(kernel)
             elif layer == "gw-deadline":
                 t = soak.deadline(kernel)
-            elif layer == "gw-batch":
-                t = soak.batch_storm(kernel)
             else:
                 t = soak.jit_fault(kernel)
             report.trials.append(t)

@@ -99,9 +99,6 @@ class AdmissionQueue:
         self.peak_depth = 0
         self.admitted = 0
         self.shed = 0
-        #: requests answered *without* an admission slot because a
-        #: gateway flight group merged them into one admitted request.
-        self.batched = 0
 
     class _Slot:
         def __init__(self, queue: "AdmissionQueue") -> None:
@@ -129,20 +126,6 @@ class AdmissionQueue:
             obs.gauge("admission.depth", self.depth)
         return self._Slot(self)
 
-    def note_batched(self, n: int) -> None:
-        """Record ``n`` requests that rode a flight group's single slot.
-
-        Pre-admission batching (the gateway) answers N same-shape
-        requests out of one admitted request; the N-1 riders never call
-        :meth:`admit`, so without this note the admission ledger would
-        silently under-count the traffic the service actually absorbed.
-        """
-        if n <= 0:
-            return
-        with self._lock:
-            self.batched += int(n)
-        obs.count("admission.batched", int(n))
-
     def stats(self) -> dict:
         with self._lock:
             return {
@@ -151,5 +134,4 @@ class AdmissionQueue:
                 "peak_depth": self.peak_depth,
                 "admitted": self.admitted,
                 "shed": self.shed,
-                "batched": self.batched,
             }

@@ -97,11 +97,9 @@ def request_shape(payload: dict) -> str:
 
     The request *shape* — (kernel, flow, target, size, force_scalar) —
     deterministically yields the canonical bytecode and therefore the
-    service-side :class:`~repro.service.cache.CacheKey`.  The same
-    string drives both client-side placement (:func:`shard_index`) and
-    the gateway's pre-admission batcher, so two requests that batch
-    into one flight group are exactly two requests that would shard to
-    one replica and coalesce on one single-flight key.
+    service-side :class:`~repro.service.cache.CacheKey`, so two
+    requests with one shape shard to one replica
+    (:func:`shard_index`) and coalesce there on one single-flight key.
     """
     return "\x00".join(
         str(payload.get(k, d)) for k, d in _SHAPE_FIELDS
@@ -179,10 +177,6 @@ class GatewayClient:
         #: byte arrived (the peer idle-reclaimed them between calls) and
         #: transparently resent on a fresh connection.
         self.stale_reconnects = 0
-        #: responses that were answered out of a gateway-side flight
-        #: group (payload carries ``batched`` >= 2) — the client-visible
-        #: evidence that a stampede was merged before admission.
-        self.batched_responses = 0
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -326,8 +320,6 @@ class GatewayClient:
                 last_exc, last_resp = exc, None
             else:
                 self._failed_at.pop(addr, None)
-                if int(resp.get("batched", 1) or 1) > 1:
-                    self.batched_responses += 1
                 if not self._should_failover(resp):
                     return resp
                 last_exc, last_resp = None, resp

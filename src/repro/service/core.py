@@ -52,7 +52,6 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from .. import faults, obs
-from .._compat import warn_once
 from ..api import execute_phase
 from ..errors import classify
 from ..harness.flows import FLOWS, FlowResult, FlowRunner
@@ -128,11 +127,6 @@ class ServiceRequest:
     size: int | None = None
     #: wall-clock budget in seconds (None = no deadline).
     deadline_s: float | None = None
-    #: number of client requests this request answers: >1 when the
-    #: gateway's pre-admission batcher merged a same-shape flight group
-    #: into one admitted request (the N-1 riders are recorded in
-    #: ``admission.batched``, not ``admission.admitted``).
-    batch_size: int = 1
 
 
 @dataclass
@@ -204,9 +198,9 @@ class KernelService:
         responses = [f.result() for f in futures]
 
     All configuration knobs are keyword-only constructor arguments;
-    ``seed`` makes retry jitter deterministic for seeded campaigns
-    (``rng_seed`` is the deprecated spelling and warns once).  The
-    service is a context manager (``close()`` drains the worker pool).
+    ``seed`` makes retry jitter deterministic for seeded campaigns.
+    The service is a context manager (``close()`` drains the worker
+    pool).
 
     Every request is traced as one ``service.request`` span (phase
     ``service``) whose attributes record the final status, cache hit,
@@ -235,12 +229,7 @@ class KernelService:
         engine: str = "threaded",
         check: bool = True,
         seed: int = 0,
-        rng_seed: int | None = None,
     ) -> None:
-        if rng_seed is not None:
-            warn_once("KernelService(rng_seed=...)",
-                      "KernelService(seed=...)")
-            seed = rng_seed
         self.runner = FlowRunner(engine=engine, check=check)
         self.cache = (
             KernelCache(cache_dir, cache_budget)
@@ -356,9 +345,6 @@ class KernelService:
             slot = self.admission.admit()
         except OverloadError as exc:
             return self._shed_response(request, exc)
-        if request.batch_size > 1:
-            # One slot answers the whole flight group; ledger the riders.
-            self.admission.note_batched(request.batch_size - 1)
         with slot:
             return self._guarded_serve(request)
 
@@ -510,8 +496,6 @@ class KernelService:
                    attempts=resp.attempts)
             if resp.coalesced:
                 sp.set(coalesced=True)
-            if request.batch_size > 1:
-                sp.set(batch=True, batch_size=request.batch_size)
             with self._breakers_lock:
                 breaker = self._breakers.get(request.target)
             if breaker is not None:

@@ -44,11 +44,8 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
-from dataclasses import replace
-
 from .. import faults, obs
 from ..errors import ReproError, classify
-from .client import request_shape
 from .core import KernelService, ServiceRequest
 from .wire import (
     HEADER_LEN,
@@ -71,10 +68,6 @@ LATENCY_BUCKETS = (
     0.03, 0.05, 0.075, 0.1, 0.15, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0,
 )
 
-#: flight-group size buckets for the ``gateway.batch.size`` histogram —
-#: small integers, since group size is bounded by ``batch_max``.
-BATCH_SIZE_BUCKETS = (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64)
-
 
 class DrainError(ReproError):
     """The gateway is draining for shutdown: request rejected, retry on
@@ -92,40 +85,6 @@ class DrainError(ReproError):
 class _ConnDropped(Exception):
     """Internal: an injected :class:`~repro.faults.ConnDrop` tore this
     connection mid-response; unwind the connection loop quietly."""
-
-
-class _BatchGroup:
-    """One pre-admission flight group: same-shape requests that arrived
-    within one batch window and will be answered by one admitted
-    service call.
-
-    The group's lifecycle is owned entirely by the event loop: the
-    *timer* (scheduled at creation) or the *batch_max* overflow flushes
-    it, never a particular waiter's connection — so a leader whose
-    socket dies mid-window cannot strand the followers or leak the
-    table entry.  ``future`` resolves exactly once with an
-    ``(outcome, payload)`` tuple that every waiter fans out from.
-    """
-
-    __slots__ = (
-        "key", "request", "future", "size", "expiries", "timer",
-        "flushed", "created",
-    )
-
-    def __init__(self, key: str, request: ServiceRequest, future,
-                 created: float) -> None:
-        self.key = key
-        #: the parsed leader request — same shape key means the same
-        #: (kernel, flow, target, size) fields, so one parse serves all.
-        self.request = request
-        self.future = future
-        self.size = 0
-        #: per-waiter absolute expiry on the loop clock (None = no
-        #: deadline) — each waiter re-checks its *own* budget at fan-out.
-        self.expiries: list = []
-        self.timer = None
-        self.flushed = False
-        self.created = created
 
 
 def _jsonable(obj):
@@ -163,8 +122,6 @@ class GatewayServer:
         idle_timeout_s: float | None = 30.0,
         drain_grace_s: float = 0.05,
         drain_budget_s: float = 10.0,
-        batch_window_s: float = 0.0,
-        batch_max: int = 16,
         close_service: bool = False,
     ) -> None:
         self.service = service
@@ -174,11 +131,6 @@ class GatewayServer:
         self.idle_timeout_s = idle_timeout_s
         self.drain_grace_s = float(drain_grace_s)
         self.drain_budget_s = float(drain_budget_s)
-        #: pre-admission batching window; 0 disables batching entirely
-        #: (every compile dispatches individually, the pre-batcher
-        #: behavior).
-        self.batch_window_s = max(0.0, float(batch_window_s))
-        self.batch_max = max(1, int(batch_max))
         self.close_service = bool(close_service)
         self.state = "running"
         self._server: asyncio.AbstractServer | None = None
@@ -191,9 +143,6 @@ class GatewayServer:
         self._idle = asyncio.Event()
         self._idle.set()
         self._writers: set[asyncio.StreamWriter] = set()
-        #: shape key -> open flight group (event-loop-owned; entries
-        #: live for at most one batch window).
-        self._batches: dict[str, _BatchGroup] = {}
         self._counts = {
             "connections": 0,
             "requests": 0,
@@ -203,9 +152,6 @@ class GatewayServer:
             "frame_errors": 0,
             "conn_resets": 0,
             "injected_drops": 0,
-            "batch.merged": 0,
-            "batch.flushed": 0,
-            "batch.expired": 0,
         }
 
     # -- lifecycle ------------------------------------------------------------
@@ -252,11 +198,6 @@ class GatewayServer:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        # Open flight groups hold requests accepted *before* drain began
-        # (the drain state check gates joining): flush them now and wait
-        # for their fan-outs so every batched waiter gets its answer.
-        if self._batches:
-            await self._flush_pending_batches(self.drain_budget_s)
         # In-flight requests (already dispatched to the service) finish
         # under the drain budget; anything still running past it is
         # abandoned to the executor's daemon threads — the response is
@@ -311,8 +252,6 @@ class GatewayServer:
             "peak_inflight": self._peak_inflight,
             "max_inflight": self.max_inflight,
             "open_connections": len(self._writers),
-            "batch_window_s": self.batch_window_s,
-            "batch_pending": len(self._batches),
             **self._counts,
         }
 
@@ -463,15 +402,11 @@ class GatewayServer:
         self._bump("requests")
         started = time.perf_counter()
         if self.state != "running":
-            # Drain gates *joining* too: groups only ever contain
-            # requests accepted while the gateway was running.
             self._bump("rejected_drain")
             exc = DrainError(self.state)
             return self._reject_payload(
                 payload, "rejected", classify(exc), "gateway-drain", str(exc)
             )
-        if self.batch_window_s > 0:
-            return await self._batched_compile(payload, deadline_s, started)
         if self._inflight >= self.max_inflight:
             # Gateway-level backpressure: answered from the event loop
             # in microseconds, without touching the handler pool — the
@@ -510,175 +445,7 @@ class GatewayServer:
         )
         return response_payload(resp)
 
-    # -- pre-admission batching -----------------------------------------------
-
-    async def _batched_compile(self, payload: dict, deadline_s,
-                               started: float) -> dict:
-        """Join (or open) the flight group for this payload's shape and
-        await its single fan-out.
-
-        Invariants (chaos-enforced):
-
-        * one group -> one admission slot -> one service call;
-        * every waiter receives either the group's byte-identical
-          response payload or its *own* classified rejection — never a
-          torn frame, never two answers;
-        * the group entry leaves ``_batches`` exactly once (timer or
-          ``batch_max`` overflow), whoever's connection dies.
-        """
-        if deadline_s is not None and deadline_s <= 0:
-            # A waiter with no budget left must not ride the window: it
-            # could never receive the fan-out in time.
-            self._bump("batch.expired")
-            return self._reject_payload(
-                payload, "rejected", "DeadlineError", "batch-deadline",
-                "deadline expired before the batch window opened",
-            )
-        try:
-            request = self._parse_request(payload, deadline_s)
-        except (TypeError, ValueError) as exc:
-            return self._reject_payload(
-                payload, "rejected", "bad-request", "bad-request", str(exc)
-            )
-        loop = asyncio.get_running_loop()
-        now = loop.time()
-        expiry = None if deadline_s is None else now + float(deadline_s)
-        key = request_shape(payload)
-        group = self._batches.get(key)
-        if group is None:
-            group = _BatchGroup(key, request, loop.create_future(), now)
-            self._batches[key] = group
-            group.timer = loop.call_later(
-                self.batch_window_s, self._flush_batch, group
-            )
-        group.size += 1
-        group.expiries.append(expiry)
-        if group.size >= self.batch_max:
-            self._flush_batch(group)
-        # shield: a waiter whose task dies (connection torn down, loop
-        # shutdown race) must never cancel the shared group future out
-        # from under the other waiters.
-        kind, data = await asyncio.shield(group.future)
-        if expiry is not None and loop.time() >= expiry:
-            # This waiter's own budget ran out while the group was in
-            # flight: a classified rejection, never a late orphan write.
-            self._bump("batch.expired")
-            return self._reject_payload(
-                payload, "rejected", "DeadlineError", "batch-deadline",
-                f"deadline of {deadline_s:.3f}s expired while the "
-                f"request was batched",
-            )
-        if kind == "shed":
-            self._bump("rejected_overload")
-            return self._reject_payload(
-                payload, "shed", "OverloadError", "gateway-overload",
-                f"gateway at max_inflight={self.max_inflight}; batched "
-                f"request shed, retry with backoff",
-            )
-        if kind == "expired":
-            self._bump("batch.expired")
-            return self._reject_payload(
-                payload, "rejected", "DeadlineError", "batch-deadline",
-                "every waiter's deadline expired before the group ran",
-            )
-        if kind == "error":
-            return self._reject_payload(
-                payload, "rejected", data, "batch-internal",
-                "internal error while serving the flight group",
-            )
-        self._bump("served")
-        obs.observe(
-            "gateway.request_seconds", time.perf_counter() - started,
-            bounds=LATENCY_BUCKETS,
-        )
-        return data
-
-    def _flush_batch(self, group: _BatchGroup) -> None:
-        """Close a group to new joiners and hand it to :meth:`_run_batch`.
-
-        Runs on the event loop (timer callback or ``batch_max``
-        overflow).  Identity-checked and idempotent: the timer and an
-        overflow may race, and a flush must never pop a *newer* group
-        that reused the key.
-        """
-        if group.flushed:
-            return
-        group.flushed = True
-        if group.timer is not None:
-            group.timer.cancel()
-        if self._batches.get(group.key) is group:
-            del self._batches[group.key]
-        asyncio.get_running_loop().create_task(self._run_batch(group))
-
-    async def _run_batch(self, group: _BatchGroup) -> None:
-        """Serve one flight group: one admission slot, one service
-        call, one result resolved into the shared future."""
-        loop = asyncio.get_running_loop()
-        n = group.size
-        self._bump("batch.flushed")
-        if n > 1:
-            self._bump("batch.merged", n - 1)
-        obs.observe("gateway.batch.size", n, bounds=BATCH_SIZE_BUCKETS)
-        try:
-            if self._inflight >= self.max_inflight:
-                # Backpressure at the merge point: the whole group costs
-                # one classified shed, answered from the event loop.
-                group.future.set_result(("shed", None))
-                return
-            if any(e is None for e in group.expiries):
-                group_deadline = None
-            else:
-                # The group runs on the *longest* surviving budget: any
-                # waiter still inside its own deadline deserves an
-                # answer, and shorter-budget waiters are individually
-                # rejected at fan-out.
-                group_deadline = max(group.expiries) - loop.time()
-                if group_deadline <= 0:
-                    group.future.set_result(("expired", None))
-                    return
-            request = replace(
-                group.request, deadline_s=group_deadline, batch_size=n
-            )
-            self._inflight += 1
-            self._peak_inflight = max(self._peak_inflight, self._inflight)
-            self._idle.clear()
-            obs.gauge("gateway.inflight", self._inflight)
-            try:
-                resp = await loop.run_in_executor(
-                    self._executor, self._handle_traced, request,
-                    group_deadline, n,
-                )
-            finally:
-                self._inflight -= 1
-                obs.gauge("gateway.inflight", self._inflight)
-                if self._inflight == 0:
-                    self._idle.set()
-            data = dict(response_payload(resp))
-            data["batched"] = n
-            group.future.set_result(("served", data))
-        except Exception as exc:  # pragma: no cover - defensive
-            # A group future must settle no matter what: a waiter that
-            # never hears back is worse than any classified rejection.
-            if not group.future.done():
-                group.future.set_result(("error", classify(exc)))
-
-    async def _flush_pending_batches(self, timeout: float) -> None:
-        """Drain hook: flush every open group and wait for their
-        fan-outs, so requests batched before drain began still get
-        complete responses."""
-        groups = list(self._batches.values())
-        for group in groups:
-            self._flush_batch(group)
-        futures = [g.future for g in groups if not g.future.done()]
-        if futures:
-            with contextlib.suppress(asyncio.TimeoutError):
-                await asyncio.wait_for(
-                    asyncio.gather(*futures, return_exceptions=True),
-                    timeout=timeout,
-                )
-
-    def _handle_traced(self, request: ServiceRequest, deadline_s,
-                       batch_size: int = 1):
+    def _handle_traced(self, request: ServiceRequest, deadline_s):
         """Runs on the handler pool: one ``service.gateway.request``
         span wrapping the service's own ``service.request`` span."""
         with obs.span("service.gateway.request", phase="service",
@@ -686,8 +453,6 @@ class GatewayServer:
                       target=request.target) as sp:
             if deadline_s is not None:
                 sp.set(deadline_s=deadline_s)
-            if batch_size > 1:
-                sp.set(batch=True, batch_size=batch_size)
             resp = self.service.handle(request)
             sp.set(status=resp.status, from_cache=resp.from_cache)
             return resp

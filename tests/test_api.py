@@ -1,12 +1,9 @@
-"""The redesigned public API: facade, canonical conventions, shims.
+"""The redesigned public API: facade and canonical conventions.
 
 Covers the one-call :class:`repro.Pipeline` / :func:`repro.compile_and_run`
 facade, the canonical resolvers, the public-API snapshot (so surface
-changes are deliberate), and the deprecation shims (which must warn
-exactly once per process per alias).
+changes are deliberate), and the keyword-only conventions.
 """
-
-import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +11,6 @@ import pytest
 import repro
 import repro.api as api
 from repro import Pipeline, compile_and_run, obs
-from repro._compat import reset as reset_warnings
 from repro.jit import MonoJIT, OptimizingJIT
 from repro.service import KernelService
 from repro.targets import SSE, get_target
@@ -97,7 +93,6 @@ def test_api_all_snapshot():
         "resolve_engine",
         "resolve_compiler",
         "COMPILERS",
-        "ENGINES",
         "frontend_phase",
         "vectorize_phase",
         "encode_phase",
@@ -248,45 +243,5 @@ def test_compiler_compile_accepts_target_name():
     fn = api.frontend_phase(SRC)["saxpy"]
     ck = OptimizingJIT().compile(fn, "neon")
     assert ck.target.name == "neon"
-
-
-# -- deprecation shims (warn exactly once) ------------------------------------
-
-
-def test_positional_force_scalar_warns_once():
-    reset_warnings()
-    fn = api.frontend_phase(SRC)["saxpy"]
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    with pytest.raises(TypeError):  # force_scalar is keyword-only
         MonoJIT().compile(fn, "sse", True)
-        MonoJIT().compile(fn, "sse", True)
-    deps = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-    assert len(deps) == 1
-    assert "force_scalar" in str(deps[0].message)
-    with pytest.raises(TypeError):
-        MonoJIT().compile(fn, "sse", True, "extra")
-
-
-def test_kernel_service_rng_seed_warns_once():
-    reset_warnings()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        KernelService(rng_seed=3).close()
-        KernelService(rng_seed=3).close()
-    deps = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-    assert len(deps) == 1
-    assert "seed=" in str(deps[0].message)
-
-
-def test_warn_once_registry_reset():
-    from repro._compat import _WARNED, warn_once
-
-    reset_warnings()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        warn_once("old_thing", "new_thing")
-        warn_once("old_thing", "new_thing")
-    assert len(caught) == 1
-    assert "old_thing" in _WARNED
-    reset_warnings()
-    assert "old_thing" not in _WARNED

@@ -10,9 +10,23 @@ or raises a classified :class:`~repro.errors.ReproError`.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from repro.harness.chaos import FAILING, LAYERS, ChaosTrial, run_campaign
+from repro import faults
+from repro.harness.chaos import (
+    FAILING,
+    LAYERS,
+    ChaosTrial,
+    _trial_vm_mem,
+    run_campaign,
+)
+from repro.machine.registry import (
+    get_engine,
+    register_engine,
+    unregister_engine,
+)
 
 
 @pytest.fixture(scope="module")
@@ -177,3 +191,22 @@ def test_harness_layer_quarantines():
     assert all(t.layer == "harness" for t in rep.trials)
     assert rep.ok, rep.summary()
     assert {t.outcome for t in rep.trials} == {"quarantined"}
+
+
+def _fault_blind_run(ck, scalar_args, arrays, **kwargs):
+    """The reference interpreter, blind to the memory-fault hook: an
+    engine that skips the injection point and so never traps."""
+    with faults.injected(faults.FaultPlan([])):
+        return get_engine("reference").run(ck, scalar_args, arrays, **kwargs)
+
+
+def test_vm_mem_parity_covers_every_registered_engine():
+    """Any registered engine whose MemFault trap differs from the
+    reference interpreter's is a parity mismatch naming that engine."""
+    register_engine("fault-blind", run=_fault_blind_run)
+    try:
+        trial = _trial_vm_mem("saxpy_fp", 16, random.Random(0))
+    finally:
+        unregister_engine("fault-blind")
+    assert trial.outcome == "parity-mismatch", trial
+    assert trial.detail.startswith("fault-blind=")

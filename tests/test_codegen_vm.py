@@ -10,9 +10,8 @@ the matrix cannot:
   bit-identical (values, cycles, instructions, op counts, memory);
 * the generated source is byte-stable across processes (no ``id()`` /
   ``hash()`` leakage), so compile caches can key on it;
-* the registry API itself: registration rules, error shapes, the
-  deprecated ``repro.api.ENGINES`` shim, and — the point of the
-  redesign — a toy fourth engine becoming selectable end-to-end
+* the registry API itself: registration rules, error shapes, and — the
+  point of the redesign — a toy fourth engine becoming selectable end-to-end
   (``execute_phase``, ``FlowRunner``, CLI ``--engine`` choices) without
   touching any dispatch site.
 """
@@ -21,13 +20,11 @@ from __future__ import annotations
 
 import subprocess
 import sys
-import warnings
 
 import numpy as np
 import pytest
 
 import repro.api as api
-from repro import _compat
 from repro.harness.flows import FlowRunner
 from repro.kernels import get_kernel
 from repro.machine import VM
@@ -315,23 +312,6 @@ def test_cli_rejects_unknown_engine():
 
     with pytest.raises(SystemExit):
         build_parser().parse_args(["run", "saxpy_fp", "--engine", "warp"])
-
-
-# -- deprecated ENGINES shim --------------------------------------------------
-
-
-def test_api_engines_shim_warns_once():
-    _compat.reset()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        names = api.ENGINES
-        names2 = api.ENGINES
-    assert names == engine_names()
-    assert names2 == names
-    deps = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-    assert len(deps) == 1
-    assert "engine_names" in str(deps[0].message)
-    _compat.reset()
 
 
 def test_api_getattr_still_raises_for_unknown():

@@ -4,6 +4,8 @@ target-specific vectorization) must produce identical integer results —
 the strongest form of the paper's performance-portability claim: same
 semantics, different compilation strategies."""
 
+import zlib
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -55,7 +57,7 @@ class TestSplitVsNative:
         fn = compile_source(src)["k"]
         split_ir = vectorize_function(fn, split_config())
         has_out = "o[" in src
-        rng = np.random.default_rng(abs(hash((src, n, x))) % 2**32)
+        rng = np.random.default_rng(zlib.crc32(repr((src, n, x)).encode()))
         a = rng.integers(-70, 70, n + 2).astype(np.int32)
         b = rng.integers(-70, 70, n + 2).astype(np.int32)
 

@@ -2,7 +2,8 @@
 
 Covers the gateway stack end to end: the CRC-framed wire codec and its
 classified failure taxonomy, byte-identity between a wire-served warm
-response and the in-process one, deadline propagation from the frame
+response and the in-process one, single-flight coalescing of identical
+cold requests over the wire, deadline propagation from the frame
 header into the service, gateway-level backpressure, hostile-wire
 hygiene (garbage, truncation, slowloris, idle reclaim), the graceful
 drain state machine, the resilient client's retry/failover behaviour,
@@ -22,7 +23,7 @@ import time
 
 import pytest
 
-from repro import faults
+from repro import faults, obs
 from repro.errors import classify
 from repro.service import (
     DrainError,
@@ -201,6 +202,40 @@ def test_warm_wire_response_is_byte_identical_to_in_process(stack):
     assert payload["status"] == "ok"
     assert payload["from_cache"] is True
     assert raw == expected
+
+
+def test_identical_cold_stampede_compiles_once(tmp_path):
+    """N identical cold compile frames on N raw sockets at once: every
+    reply is ``ok``, in-process single-flight runs exactly one compile
+    (followers are ``coalesced`` or warm), and every reply carries the
+    same ``result`` bytes."""
+    n = 6
+    svc = KernelService(cache_dir=str(tmp_path / "cache"), seed=0,
+                        workers=4, queue_limit=32)
+    gw = ThreadedGateway(svc, max_inflight=8, drain_grace_s=0.0)
+    frame = encode_frame(_compile_payload("sad_s8"))
+    try:
+        with obs.recording(trace=False, metrics=True) as ob:
+            socks = [socket.create_connection(gw.address, timeout=30.0)
+                     for _ in range(n)]
+            try:
+                for s in socks:
+                    s.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                for s in socks:
+                    s.sendall(frame)
+                payloads = [_recv_frame(s)[0] for s in socks]
+            finally:
+                for s in socks:
+                    s.close()
+    finally:
+        gw.close()
+        svc.close()
+    assert [p["status"] for p in payloads] == ["ok"] * n
+    assert ob.metrics_snapshot()["jit.compiles"]["value"] == 1
+    assert len({encode_payload(p["result"]) for p in payloads}) == 1
+    leaders = [p for p in payloads
+               if not p["coalesced"] and not p["from_cache"]]
+    assert len(leaders) == 1
 
 
 def test_ready_health_stats_ops(stack, client):
