@@ -298,35 +298,14 @@ def _cmd_verify(args) -> int:
 def _cmd_chaos(args) -> int:
     import json
 
-    from .harness.chaos import (
-        run_campaign,
-        run_fleet_campaign,
-        run_gateway_campaign,
-        run_service_campaign,
-    )
+    from .harness.chaos import run_campaign
 
-    if args.profile == "service":
-        report = run_service_campaign(
-            n_faults=args.faults, seed=args.seed, size=args.size,
-            farm_workers=args.farm_workers,
-        )
-    elif args.profile == "gateway":
-        report = run_gateway_campaign(
-            n_faults=args.faults, seed=args.seed, size=args.size,
-            farm_workers=args.farm_workers or 2,
-        )
-    elif args.profile == "fleet":
-        report = run_fleet_campaign(
-            n_faults=args.faults, seed=args.seed, size=args.size,
-            replicas=args.replicas, farm_workers=args.farm_workers or 1,
-        )
-    else:
-        report = run_campaign(
-            n_faults=args.faults,
-            seed=args.seed,
-            size=args.size,
-            include_harness=args.harness,
-        )
+    options = {"layers": {"include_harness": args.harness},
+               "fleet": {"replicas": args.replicas}}.get(args.profile, {})
+    if args.farm_workers is not None and args.profile != "layers":
+        options["farm_workers"] = args.farm_workers
+    report = run_campaign(args.profile, n_faults=args.faults, seed=args.seed,
+                          size=args.size, **options)
     print(report.summary())
     if args.stats_out:
         payload = {
@@ -639,16 +618,17 @@ def build_parser() -> argparse.ArgumentParser:
                    "'fleet' SIGKILLs supervised replicas mid-compile / "
                    "mid-cache-write / mid-frame / while holding a .lead "
                    "marker and audits crash consistency end-to-end")
-    p.add_argument("--farm-workers", type=int, default=0,
-                   help="for --profile service: run the soaked service "
-                   "with a compile farm and mix in farm faults (worker "
-                   "crash/stall, stale cross-replica leader markers); "
-                   "for --profile gateway the default is 2, for fleet 1")
+    p.add_argument("--farm-workers", type=int, default=None,
+                   help="compile-farm workers of the soaked service "
+                   "(default: 0 for --profile service, 2 for gateway, 1 "
+                   "per replica for fleet); for service, N > 0 also mixes "
+                   "in farm faults (worker crash/stall, stale "
+                   "cross-replica leader markers)")
     p.add_argument("--replicas", type=int, default=3,
                    help="for --profile fleet: supervised replica count")
     p.add_argument("--stats-out",
-                   help="write the campaign census (and final service "
-                   "stats, for --profile service) as JSON")
+                   help="write the campaign census and the profile's "
+                   "final stats (service, gateway or fleet) as JSON")
     p.set_defaults(func=_cmd_chaos)
 
     p = sub.add_parser(

@@ -379,17 +379,6 @@ class FaultPlan:
         :class:`ConnDrop` (re-armed per install)."""
         return self._make_counted_hook(ConnDrop)
 
-    def wire_client_fault(self):
-        """The plan's hostile-client wire fault
-        (:class:`SlowWire`/:class:`TruncatedFrame`/:class:`GarbageFrame`),
-        or None.  Read by the gateway chaos campaign's raw-socket
-        client, not by an in-process injection point: these faults live
-        on the *peer's* side of the wire."""
-        for f in self.faults:
-            if isinstance(f, (SlowWire, TruncatedFrame, GarbageFrame)):
-                return f
-        return None
-
     def _make_counted_hook(self, cls):
         found = self._of(cls)
         if not found:

@@ -1,72 +1,68 @@
-"""Seeded chaos campaigns over the fail-soft pipeline.
+"""Seeded chaos campaigns: one runner, four profiles.
 
-A campaign draws ``n_faults`` faults from a seeded RNG, injects each into
-the matching layer of the toolchain, and classifies the observable
-outcome.  The **chaos invariant** asserted by :meth:`ChaosReport.ok`:
+:func:`run_campaign` draws ``n_faults`` trials from a seeded RNG — each
+trial's layer from the profile's weighted table ``{layer: (weight,
+trial)}``, then its kernel — injects the fault, and classifies the
+observable outcome.  It then runs the profile's scripted epilogue,
+attaches the profile's stats, and closes it.  The **chaos invariant**
+asserted by :meth:`ChaosReport.ok`:
 
-    every injected fault leads to a *correct* result (possibly via the
-    scalar-fallback degradation path) or a *classified* trap — never a
-    silent wrong answer and never an unclassified traceback.
+    every injected fault leads to a *correct* result (possibly via a
+    degradation path) or a *classified* trap — never a silent wrong
+    answer and never an unclassified traceback.
 
-Layers and their pass criteria:
+Profiles (CLI ``repro chaos --profile NAME``):
 
-========================= ==================================================
-layer                     passing outcomes
-========================= ==================================================
-``bytecode``              bit-flipped container rejected by a classified
-                          :class:`~repro.bytecode.writer.FormatError`
-                          before any IR reaches the JIT
-``jit-lowering``          forced idiom-lowering failure degrades the loop
-                          group to scalar; run still checks against numpy
-``jit-materialize``       whole-function materialization failure triggers
-                          the force-scalar compile retry; run still checks
-``vm-mem``                injected memory fault raises the *identical*
-                          classified VMError from every registered
-                          execution engine
-``vm-misalign``           skewed array bases either still check or raise a
-                          classified VMError (alignment trap)
-``harness``               crashed/stalled workers are quarantined; every
-                          other cell of the sweep completes and checks
-========================= ==================================================
+=========== ===========================================================
+profile     what the trials attack
+=========== ===========================================================
+``layers``  the pipeline stages, one fresh flow per trial: bit-flipped
+            containers (``bytecode``), forced lowering and
+            materialization failures (``jit-*``), a memory fault that
+            every registered engine must trap exactly like the reference
+            interpreter (``vm-mem``), skewed array bases
+            (``vm-misalign``); ``include_harness`` adds a worker crash
+            and a worker stall in a real process pool
+``service`` a live cache-backed :class:`~repro.service.KernelService`:
+            cache corruption, torn writes, JIT and VM faults, overload,
+            expired deadlines, and with ``farm_workers > 0`` farm worker
+            crash/stall and stale leader markers; epilogue: a breaker
+            cycle and a stale serve
+``gateway`` the same service behind a live
+            :class:`~repro.service.gateway.ThreadedGateway`: garbage,
+            truncated and slowloris frames, connections torn
+            mid-response, overload, wire deadlines, JIT faults through
+            the wire; epilogue: a graceful drain and a leaked-worker
+            audit
+``fleet``   a supervised replica fleet over one cache directory:
+            SIGKILL of the shard owner mid-compile, mid-cache-write,
+            holding a ``.lead`` marker and mid-frame, plus cross-replica
+            warm byte-identity; epilogue: flap->park, a shared-cache
+            audit, a killed-pid leak audit, full-capacity readiness
+=========== ===========================================================
 
-Failing outcomes — ``silent-wrong`` (corruption accepted), ``wrong-answer``
-(fallback produced values that fail the numpy check), ``unclassified-trap``
-(an exception outside the :mod:`repro.errors` taxonomy), and
-``parity-mismatch`` (an execution engine disagrees with the reference
-interpreter on a trap) — make the campaign fail.
+Each profile has its own passing outcomes (``trapped``,
+``degraded-correct``, ``healed``, ``rerouted``, ``killed-through``, ...);
+anything in :data:`FAILING` makes the campaign fail.  The live profiles
+judge every response in its wire form
+(:func:`~repro.service.wire.response_payload`) against a cold no-cache
+reference run: an ``ok`` answer that differs is a ``wrong-answer`` in
+process and a ``torn-response`` once a wire carried it.
 
-Campaigns are deterministic in ``seed`` and run single-process (the
-``harness`` layer, which needs real worker processes, is opt-in via
-``include_harness``).
-
-**Service soak profile** (:func:`run_service_campaign`, CLI ``repro chaos
---profile service``): the same invariant asserted against a *live*
-:class:`~repro.service.KernelService` — one long-running service absorbs
-hundreds of seeded faults (on-disk cache corruption, torn cache writes,
-JIT faults, transient and persistent VM faults, overload bursts, expired
-deadlines) while every response stays well-formed: correct answers are
-byte-identical to a cold no-cache run, degraded/stale responses carry
-their :class:`~repro.jit.materialize.DegradationEvent` chain, rejections
-carry a closed-taxonomy tag, and corrupt/torn cache entries are
-quarantined and recompiled, never served.
-
-**Gateway soak profile** (:func:`run_gateway_campaign`, CLI ``repro chaos
---profile gateway``): the invariant moves out to the *network front
-door* — a live :class:`~repro.service.gateway.ThreadedGateway` fronting
-a farm-backed service absorbs seeded wire-level hostility (garbage
-frames, truncated frames, slowloris drips, connections torn mid-response
-by :class:`~repro.faults.ConnDrop`) alongside overload bursts, expired
-wire deadlines, and in-service JIT/VM faults, while three gateway-grade
-guarantees hold: **zero torn responses** (every answer a client accepts
-reproduces the cold reference bit-for-bit; every partial frame is
-classified), **zero unclassified errors** (every rejection carries a
-closed-taxonomy tag), and **zero leaked farm workers** (after the drain
-epilogue and service close, no compile worker PID survives).
+Campaigns are deterministic in ``seed``.  The live profiles' trials draw
+from a second ``Random(seed)`` of their own, so their (layer, kernel)
+stream depends only on the seed, the table weights and the draw order;
+the ``layers`` profile's trials share the campaign RNG.  A trial that
+raises is a failing outcome, never a lost report: an exception outside
+the :mod:`repro.errors` taxonomy is an ``unclassified-trap``, a
+classified one a ``silent-wrong`` (a lost answer) naming its tag.
 """
 
 from __future__ import annotations
 
 import random
+import shutil
+import tempfile
 import time
 from dataclasses import dataclass, field
 
@@ -83,18 +79,11 @@ __all__ = [
     "ChaosTrial",
     "ChaosReport",
     "run_campaign",
-    "run_service_campaign",
-    "run_gateway_campaign",
     "LAYERS",
     "SERVICE_LAYERS",
     "FARM_LAYERS",
     "GATEWAY_LAYERS",
 ]
-
-#: injection layers with their campaign weights.
-LAYERS = ("bytecode", "jit-lowering", "jit-materialize", "vm-mem",
-          "vm-misalign")
-_WEIGHTS = (40, 20, 5, 20, 15)
 
 #: failing outcome tags (anything else passes).  ``torn-response`` (a
 #: partial or corrupted wire frame accepted as an answer) and
@@ -134,7 +123,8 @@ class ChaosReport:
 
     seed: int
     trials: list = field(default_factory=list)
-    #: final ``KernelService.stats()`` snapshot (service profile only).
+    #: the profile's final stats snapshot of its live system (the
+    #: service, gateway or fleet); None for the ``layers`` profile.
     service_stats: dict | None = None
 
     @property
@@ -174,12 +164,24 @@ def _encoded(kernel: str, size: int, cache: dict) -> bytes:
     return blob
 
 
-def _classified_outcome(exc: Exception) -> ChaosTrial | tuple[str, str]:
+def _classified_outcome(exc: Exception) -> tuple[str, str]:
     if isinstance(exc, CheckError):
         return ("wrong-answer", str(exc))
     if is_classified(exc):
         return ("trapped", classify(exc))
     return ("unclassified-trap", f"{type(exc).__name__}: {exc}")
+
+
+def _escaped(layer: str, kernel: str, fault: str, exc: Exception,
+             who: str) -> ChaosTrial:
+    """The outcome of an exception that escaped ``who``: a classified one
+    is still a lost answer (``silent-wrong`` naming its tag); anything
+    else is an ``unclassified-trap``."""
+    if is_classified(exc):
+        return ChaosTrial(layer, kernel, fault, "silent-wrong",
+                          f"{who} gave up with {classify(exc)}: {exc}")
+    return ChaosTrial(layer, kernel, fault, "unclassified-trap",
+                      f"{type(exc).__name__}: {exc}")
 
 
 def _trial_bytecode(kernel: str, size: int, rng, cache) -> ChaosTrial:
@@ -285,10 +287,11 @@ def _trial_vm_misalign(kernel: str, size: int, rng) -> ChaosTrial:
     return ChaosTrial("vm-misalign", kernel, repr(fault), "correct", "")
 
 
-def _trials_harness(kernels, size: int, rng, timeout: float) -> list:
+def _trials_harness(size: int, rng, timeout: float) -> list:
     """One crashed and one stalled sweep (worker processes required)."""
     from .parallel import Cell, run_cells
 
+    kernels = _DEFAULT_KERNELS
     out = []
     cells = [
         Cell(k, flow, "sse", size) for k in kernels for flow in _FLOWS
@@ -319,551 +322,47 @@ def _trials_harness(kernels, size: int, rng, timeout: float) -> list:
     return out
 
 
-def run_campaign(
-    n_faults: int = 200,
-    seed: int = 0,
-    kernels=_DEFAULT_KERNELS,
-    size: int = 16,
-    include_harness: bool = False,
-    harness_timeout: float = 10.0,
-) -> ChaosReport:
-    """Inject ``n_faults`` seeded faults; returns the outcome census.
-
-    Deterministic in ``seed``.  ``include_harness`` adds two process-pool
-    sweeps (a worker crash and a worker stall) on top of ``n_faults``.
-    """
-    rng = random.Random(seed)
-    kernels = tuple(kernels)
-    report = ChaosReport(seed=seed)
-    enc_cache: dict = {}
-    for _ in range(int(n_faults)):
-        layer = rng.choices(LAYERS, weights=_WEIGHTS)[0]
-        kernel = rng.choice(kernels)
-        if layer == "bytecode":
-            t = _trial_bytecode(kernel, size, rng, enc_cache)
-        elif layer == "jit-lowering":
-            t = _trial_jit(kernel, size, rng, materialize=False)
-        elif layer == "jit-materialize":
-            t = _trial_jit(kernel, size, rng, materialize=True)
-        elif layer == "vm-mem":
-            t = _trial_vm_mem(kernel, size, rng)
-        else:
-            t = _trial_vm_misalign(kernel, size, rng)
-        report.trials.append(t)
-    if include_harness:
-        report.trials.extend(
-            _trials_harness(kernels, size, rng, harness_timeout)
-        )
-    return report
+# -- the layers profile -------------------------------------------------------
 
 
-# -- the service soak profile -------------------------------------------------
+class _Layers:
+    """The ``layers`` profile: faults injected straight into the pipeline
+    stages.  Its trials draw their fault parameters from the campaign
+    RNG itself, and a bit flip's offset is drawn over the encoded
+    container, so its stream moves whenever encoded lengths do."""
 
-#: service-profile fault layers with their campaign weights.
-SERVICE_LAYERS = (
-    "svc-plain", "svc-cache-corrupt", "svc-torn-write", "svc-jit-lowering",
-    "svc-jit-materialize", "svc-vm-transient", "svc-vm-persistent",
-    "svc-overload", "svc-deadline",
-)
-_SERVICE_WEIGHTS = (20, 18, 8, 12, 8, 12, 12, 5, 5)
-
-#: extra layers mixed in when the soak runs with a compile farm
-#: (``farm_workers > 0``); kept separate so the default campaign's
-#: seeded fault stream — and every pinned-seed determinism test — is
-#: unchanged by the farm's existence.
-FARM_LAYERS = ("svc-farm-crash", "svc-farm-stall", "svc-stale-marker")
-_FARM_WEIGHTS = (6, 4, 5)
-
-
-class _ServiceSoak:
-    """State of one service soak campaign: a live service, a cold
-    no-cache reference runner, and per-trial validators."""
-
-    def __init__(self, seed: int, size: int, cache_dir: str,
-                 farm_workers: int = 0) -> None:
-        from ..service import KernelService
-
-        self.rng = random.Random(seed)
-        self.seed = seed
+    def __init__(self, seed: int, size: int, include_harness: bool = False,
+                 harness_timeout: float = 10.0) -> None:
+        self.draws = self.rng = random.Random(seed)
         self.size = size
-        self.cache_dir = cache_dir
-        # backoff_base=0 keeps the soak fast and deterministic (no real
-        # sleeps); tight breaker knobs make open/half-open/closed cycles
-        # happen organically within a 200-fault campaign.  The tight
-        # farm budget keeps the stall-watchdog trials sub-second.
-        self.svc = KernelService(
-            cache_dir=cache_dir, seed=seed, retries=1,
-            backoff_base=0.0, breaker_threshold=2, breaker_cooldown=4,
-            queue_limit=16, workers=2,
-            farm_workers=farm_workers, farm_budget_s=0.4,
-        )
-        self.ref_runner = FlowRunner()
-        self._refs: dict = {}
-        self._torn = 0
+        self.include_harness = include_harness
+        self.harness_timeout = harness_timeout
+        self.encoded: dict = {}
+
+    table = {
+        "bytecode": (40, lambda p, k: _trial_bytecode(
+            k, p.size, p.rng, p.encoded)),
+        "jit-lowering": (20, lambda p, k: _trial_jit(
+            k, p.size, p.rng, materialize=False)),
+        "jit-materialize": (5, lambda p, k: _trial_jit(
+            k, p.size, p.rng, materialize=True)),
+        "vm-mem": (20, lambda p, k: _trial_vm_mem(k, p.size, p.rng)),
+        "vm-misalign": (15, lambda p, k: _trial_vm_misalign(
+            k, p.size, p.rng)),
+    }
+
+    def finish(self):
+        """The process-pool crash and stall sweeps, when asked for."""
+        if not self.include_harness:
+            return [], None
+        return _trials_harness(self.size, self.rng,
+                               self.harness_timeout), None
 
     def close(self) -> None:
-        self.svc.close()
-
-    def _request(self, kernel: str, size: int | None = None, **over):
-        from ..service import ServiceRequest
-
-        return ServiceRequest(
-            kernel,
-            flow=over.get("flow", self.rng.choice(_FLOWS)),
-            target=over.get("target", self.rng.choice(_TARGETS)),
-            size=self.size if size is None else size,
-            deadline_s=over.get("deadline_s"),
-        )
-
-    def reference(self, kernel: str, flow: str, target: str, size: int):
-        """Cold no-cache (cycles, value) for one shape, computed outside
-        any fault extent."""
-        key = (kernel, flow, target, size)
-        if key not in self._refs:
-            inst = get_kernel(kernel).instantiate(size)
-            r = self.ref_runner.run(inst, flow, target)
-            self._refs[key] = (r.cycles, r.value)
-        return self._refs[key]
-
-    def judge(self, layer: str, fault: str, req, resp) -> ChaosTrial:
-        """Classify a ServiceResponse against the fail-soft invariant."""
-        kernel = req.kernel
-        if resp.error is not None and resp.error.startswith("unclassified"):
-            return ChaosTrial(layer, kernel, fault, "unclassified-trap",
-                              resp.error)
-        if resp.result is not None:
-            if not resp.result.checked and resp.status != "stale":
-                return ChaosTrial(layer, kernel, fault, "silent-wrong",
-                                  "result served without checking")
-            if resp.status == "ok":
-                cycles, value = self.reference(
-                    kernel, resp.result.flow, resp.result.target, req.size
-                )
-                if resp.result.cycles != cycles or resp.result.value != value:
-                    return ChaosTrial(
-                        layer, kernel, fault, "wrong-answer",
-                        f"cycles {resp.result.cycles} vs cold {cycles}",
-                    )
-                return ChaosTrial(layer, kernel, fault, "correct",
-                                  "warm-cache" if resp.from_cache else "")
-            if resp.status == "stale":
-                if not resp.events:
-                    return ChaosTrial(layer, kernel, fault, "silent-wrong",
-                                      "stale response without event chain")
-                return ChaosTrial(layer, kernel, fault, "served-stale",
-                                  "; ".join(e.cause for e in resp.events))
-            # degraded
-            if not resp.events:
-                return ChaosTrial(layer, kernel, fault, "silent-wrong",
-                                  "degraded response without event chain")
-            return ChaosTrial(layer, kernel, fault, "degraded-correct",
-                              "; ".join(e.cause for e in resp.events))
-        if resp.status == "shed":
-            return ChaosTrial(layer, kernel, fault, "shed", resp.error or "")
-        if resp.status == "rejected":
-            if resp.error is None:
-                return ChaosTrial(layer, kernel, fault, "silent-wrong",
-                                  "rejected without a classified tag")
-            return ChaosTrial(layer, kernel, fault, "trapped", resp.error)
-        return ChaosTrial(layer, kernel, fault, "silent-wrong",
-                          f"unknown response status {resp.status!r}")
-
-    # -- trial kinds ----------------------------------------------------------
-
-    def plain(self, kernel: str) -> ChaosTrial:
-        req = self._request(kernel)
-        return self.judge("svc-plain", "none", req, self.svc.handle(req))
-
-    def cache_corrupt(self, kernel: str) -> ChaosTrial:
-        """Flip one byte of every on-disk entry, then serve: corrupted
-        entries must be quarantined and recompiled, never served."""
-        import os
-
-        names = [
-            n for n in os.listdir(self.cache_dir) if n.endswith(".vbk")
-        ]
-        for name in names:
-            path = os.path.join(self.cache_dir, name)
-            with open(path, "rb") as f:
-                data = bytearray(f.read())
-            if not data:
-                continue
-            off = self.rng.randrange(len(data))
-            data[off] ^= 1 << self.rng.randrange(8)
-            with open(path, "wb") as f:
-                f.write(bytes(data))
-        before = self.svc.cache.quarantined
-        req = self._request(kernel)
-        resp = self.svc.handle(req)
-        if names and resp.from_cache:
-            return ChaosTrial(
-                "svc-cache-corrupt", kernel, "bitflip-all-entries",
-                "silent-wrong", "a corrupted cache entry was served",
-            )
-        trial = self.judge("svc-cache-corrupt", "bitflip-all-entries",
-                           req, resp)
-        if not trial.ok:
-            return trial
-        healed = self.svc.cache.quarantined > before
-        # Self-healing: the same request is now re-servable (recompiled,
-        # overwritten) with identical results.
-        resp2 = self.svc.handle(req)
-        trial2 = self.judge("svc-cache-corrupt", "bitflip-all-entries",
-                            req, resp2)
-        if not trial2.ok:
-            return trial2
-        if (
-            resp.result is not None and resp2.result is not None
-            and resp2.result.value != resp.result.value
-        ):
-            return ChaosTrial(
-                "svc-cache-corrupt", kernel, "bitflip-all-entries",
-                "wrong-answer", "recompiled entry changed the answer",
-            )
-        return ChaosTrial(
-            "svc-cache-corrupt", kernel, "bitflip-all-entries",
-            "healed" if healed else trial.outcome,
-            f"quarantined {self.svc.cache.quarantined - before} entries",
-        )
-
-    def torn_write(self, kernel: str) -> ChaosTrial:
-        """Kill the (simulated) service mid-cache-write: no entry under
-        the final name, fresh services recompile."""
-        from ..service import KernelService
-
-        self._torn += 1
-        req = self._request(kernel, flow="split_vec_gcc4cli", target="sse")
-        # Drop any existing entry so the request compiles and *puts* — the
-        # put is where the torn write fires.  (The cache key is a function
-        # of the bytecode, so a warm entry would otherwise absorb it.)
-        self.svc.evict(kernel, req.flow, req.target, size=req.size)
-        fault = faults.CacheTornWrite()
-        before = self.svc.cache.put_failures
-        with faults.injected(faults.FaultPlan([fault])):
-            resp = self.svc.handle(req)
-        trial = self.judge("svc-torn-write", repr(fault), req, resp)
-        if not trial.ok:
-            return trial
-        if self.svc.cache.put_failures <= before:
-            return ChaosTrial("svc-torn-write", kernel, repr(fault),
-                              "silent-wrong", "torn write did not fire")
-        # Crash-safety: a fresh service over the same directory must not
-        # find (let alone serve) the half-written entry.
-        fresh = KernelService(cache_dir=self.cache_dir, seed=self.seed)
-        try:
-            resp2 = fresh.handle(req)
-        finally:
-            fresh.close()
-        if resp2.from_cache:
-            return ChaosTrial(
-                "svc-torn-write", kernel, repr(fault), "silent-wrong",
-                "fresh service served a torn-write entry",
-            )
-        trial2 = self.judge("svc-torn-write", repr(fault), req, resp2)
-        if not trial2.ok:
-            return trial2
-        return ChaosTrial(
-            "svc-torn-write", kernel, repr(fault), "crash-safe",
-            "destination untouched; fresh service recompiled",
-        )
-
-    def jit(self, kernel: str, materialize: bool) -> ChaosTrial:
-        layer = "svc-jit-materialize" if materialize else "svc-jit-lowering"
-        fault = (
-            faults.MaterializeFault(target="*") if materialize
-            else faults.LoweringFault(idiom=self.rng.choice(_IDIOMS),
-                                      target="*")
-        )
-        req = self._request(kernel)
-        with faults.injected(faults.FaultPlan([fault])):
-            resp = self.svc.handle(req)
-        trial = self.judge(layer, repr(fault), req, resp)
-        if not trial.ok:
-            return trial
-        # Taint guard: the fault-degraded artifact must not have been
-        # persisted — a later clean request must not replay the fault.
-        resp2 = self.svc.handle(self._request(
-            kernel, flow=req.flow, target=req.target
-        ))
-        if resp2.events and any(
-            e.cause == "fault-injected" for e in resp2.events
-        ):
-            return ChaosTrial(
-                layer, kernel, repr(fault), "silent-wrong",
-                "fault-degraded artifact leaked into the persistent cache",
-            )
-        return trial
-
-    def vm(self, kernel: str, persistent: bool) -> ChaosTrial:
-        layer = "svc-vm-persistent" if persistent else "svc-vm-transient"
-        fault = (
-            faults.MemFault(after=self.rng.randrange(1, 8), repeat=True)
-            if persistent
-            else faults.MemFault(after=self.rng.randrange(1, 80))
-        )
-        req = self._request(kernel)
-        with faults.injected(faults.FaultPlan([fault])):
-            resp = self.svc.handle(req)
-        return self.judge(layer, repr(fault), req, resp)
-
-    def overload(self, kernel: str) -> ChaosTrial:
-        """Saturate admission, observe a classified shed, then recover."""
-        adm = self.svc.admission
-        slots = []
-        try:
-            while adm.depth < adm.limit:
-                slots.append(adm.admit())
-            req = self._request(kernel)
-            resp = self.svc.handle(req)
-        finally:
-            for s in slots:
-                s.__exit__(None, None, None)
-        if resp.status != "shed" or resp.error != "OverloadError":
-            return ChaosTrial(
-                "svc-overload", kernel, "admission-saturation",
-                "silent-wrong",
-                f"expected a classified shed, got {resp.status}/{resp.error}",
-            )
-        resp2 = self.svc.handle(req)
-        trial2 = self.judge("svc-overload", "admission-saturation",
-                            req, resp2)
-        if not trial2.ok:
-            return trial2
-        return ChaosTrial("svc-overload", kernel, "admission-saturation",
-                          "shed", "shed while saturated, served after")
-
-    def deadline(self, kernel: str) -> ChaosTrial:
-        req = self._request(kernel, deadline_s=0.0)
-        resp = self.svc.handle(req)
-        trial = self.judge("svc-deadline", "deadline_s=0", req, resp)
-        # An open breaker (left by an earlier persistent-fault trial) may
-        # short-circuit before the deadline is even consulted; both tags
-        # are classified and correct for their interleaving.
-        if trial.outcome == "trapped" and resp.error not in (
-            "DeadlineError", "CircuitOpenError"
-        ):
-            return ChaosTrial(
-                "svc-deadline", kernel, "deadline_s=0", "silent-wrong",
-                f"expected DeadlineError, got {resp.error}",
-            )
-        return trial
-
-    # -- compile-farm trials (farm_workers > 0 campaigns only) ----------------
-
-    def farm_crash(self, kernel: str) -> ChaosTrial:
-        """A farm worker dies mid-compile: the pool is rebuilt, the job
-        rerouted inline, the response classified and correct, and the
-        cache entry written afterwards is whole (served next request)."""
-        req = self._request(kernel, flow="split_vec_gcc4cli")
-        self.svc.evict(kernel, req.flow, req.target, size=req.size)
-        fault = faults.WorkerCrash(kernel=kernel)
-        before = self.svc._farm.crashes
-        with faults.injected(faults.FaultPlan([fault])):
-            resp = self.svc.handle(req)
-        trial = self.judge("svc-farm-crash", repr(fault), req, resp)
-        if not trial.ok:
-            return trial
-        if self.svc._farm.crashes <= before:
-            return ChaosTrial("svc-farm-crash", kernel, repr(fault),
-                              "silent-wrong", "worker crash did not fire")
-        # No torn entry: the rerouted compile's cache entry must verify
-        # and serve (a crash must never poison what the leader persists).
-        resp2 = self.svc.handle(req)
-        trial2 = self.judge("svc-farm-crash", repr(fault), req, resp2)
-        if not trial2.ok:
-            return trial2
-        return ChaosTrial("svc-farm-crash", kernel, repr(fault),
-                          "rerouted", "pool rebuilt; compiled inline")
-
-    def farm_stall(self, kernel: str) -> ChaosTrial:
-        """A wedged farm worker outlives the compile budget: the
-        watchdog kills the pool and the leader reroutes inline."""
-        req = self._request(kernel, flow="split_vec_gcc4cli")
-        self.svc.evict(kernel, req.flow, req.target, size=req.size)
-        fault = faults.WorkerStall(kernel=kernel, seconds=30.0)
-        before = self.svc._farm.stalls
-        with faults.injected(faults.FaultPlan([fault])):
-            resp = self.svc.handle(req)
-        trial = self.judge("svc-farm-stall", repr(fault), req, resp)
-        if not trial.ok:
-            return trial
-        if self.svc._farm.stalls <= before:
-            return ChaosTrial("svc-farm-stall", kernel, repr(fault),
-                              "silent-wrong",
-                              "stall watchdog did not fire")
-        return ChaosTrial("svc-farm-stall", kernel, repr(fault),
-                          "rerouted", "budget watchdog killed the worker; "
-                          "compiled inline")
-
-    def stale_marker(self, kernel: str) -> ChaosTrial:
-        """A dead replica's aged leader marker sits next to the entry at
-        claim time: this service must take leadership over (TTL expiry),
-        compile, and serve — never wait forever on a corpse."""
-        req = self._request(kernel, flow="split_vec_gcc4cli")
-        self.svc.evict(kernel, req.flow, req.target, size=req.size)
-        fault = faults.StaleMarker()
-        before = self.svc.cache.marker_takeovers
-        with faults.injected(faults.FaultPlan([fault])):
-            resp = self.svc.handle(req)
-        trial = self.judge("svc-stale-marker", repr(fault), req, resp)
-        if not trial.ok:
-            return trial
-        if self.svc.cache.marker_takeovers <= before:
-            return ChaosTrial("svc-stale-marker", kernel, repr(fault),
-                              "silent-wrong",
-                              "marker takeover did not fire")
-        return ChaosTrial("svc-stale-marker", kernel, repr(fault),
-                          "marker-takeover",
-                          "aged marker reclaimed; compiled locally")
-
-    # -- scripted epilogue trials ---------------------------------------------
-
-    def breaker_cycle(self) -> ChaosTrial:
-        """Deterministic closed -> open -> half-open -> closed cycle."""
-        from ..service import KernelService
-
-        s2 = KernelService(
-            cache_dir=None, retries=0, backoff_base=0.0,
-            breaker_threshold=2, breaker_cooldown=3,
-        )
-        try:
-            req = self._request("saxpy_fp", flow="split_vec_gcc4cli",
-                                target="neon")
-            plan = faults.FaultPlan([faults.MemFault(after=1, repeat=True)])
-            states = []
-            with faults.injected(plan):
-                for _ in range(2):          # threshold failures -> open
-                    s2.handle(req)
-                states.append(s2._breakers["neon"].state)
-                for _ in range(2):          # cooldown - 1 short-circuits
-                    s2.handle(req)
-                states.append(s2._breakers["neon"].state)
-            # The request that crosses the cooldown IS the probe (the
-            # breaker no longer burns one extra denied request arming
-            # it); the fault has cleared, so it succeeds and closes.
-            probe = s2.handle(req)
-            states.append(s2._breakers["neon"].state)
-            ok = (
-                states == ["open", "open", "closed"]
-                and probe.result is not None
-            )
-            return ChaosTrial(
-                "svc-breaker", "saxpy_fp", "MemFault(repeat)",
-                "breaker-cycled" if ok else "silent-wrong",
-                f"states={states}",
-            )
-        finally:
-            s2.close()
-
-    def stale_serve(self) -> ChaosTrial:
-        """A known-good result survives a total runtime outage."""
-        from ..service import KernelService
-
-        s3 = KernelService(cache_dir=None, retries=0, backoff_base=0.0)
-        try:
-            req = self._request("dscal_fp", flow="split_vec_gcc4cli",
-                                target="sse")
-            good = s3.handle(req)
-            plan = faults.FaultPlan([faults.MemFault(after=1, repeat=True)])
-            with faults.injected(plan):
-                resp = s3.handle(req)
-            ok = (
-                good.status == "ok"
-                and resp.status == "stale"
-                and resp.result is not None
-                and resp.result.value == good.result.value
-                and resp.result.cycles == good.result.cycles
-                and any(e.cause == "stale-cache" for e in resp.events)
-            )
-            return ChaosTrial(
-                "svc-stale", "dscal_fp", "MemFault(repeat)",
-                "served-stale" if ok else "silent-wrong",
-                f"status={resp.status}, events="
-                f"{[e.cause for e in resp.events]}",
-            )
-        finally:
-            s3.close()
+        pass
 
 
-def run_service_campaign(
-    n_faults: int = 200,
-    seed: int = 0,
-    kernels=_DEFAULT_KERNELS,
-    size: int = 16,
-    cache_dir: str | None = None,
-    farm_workers: int = 0,
-) -> ChaosReport:
-    """Soak a live :class:`~repro.service.KernelService` with ``n_faults``
-    seeded faults; returns the outcome census with ``service_stats``
-    attached.  Deterministic in ``seed`` (service jitter is seeded and
-    backoff sleeps are disabled).
-
-    ``farm_workers > 0`` runs the service with a compile farm and mixes
-    the :data:`FARM_LAYERS` into the stream — worker crash/stall at the
-    dispatch boundary and stale cross-replica leader markers at claim
-    time.  The default (farm-less) fault stream is bit-for-bit what it
-    was before the farm existed, so pinned-seed campaigns stay stable.
-    """
-    import shutil
-    import tempfile
-
-    rng = random.Random(seed)
-    kernels = tuple(kernels)
-    layers, weights = SERVICE_LAYERS, _SERVICE_WEIGHTS
-    if int(farm_workers) > 0:
-        layers = layers + FARM_LAYERS
-        weights = weights + _FARM_WEIGHTS
-    own_dir = cache_dir is None
-    root = cache_dir or tempfile.mkdtemp(prefix="repro-svc-chaos-")
-    soak = _ServiceSoak(seed, size, root, farm_workers=int(farm_workers))
-    report = ChaosReport(seed=seed)
-    try:
-        for _ in range(int(n_faults)):
-            layer = rng.choices(layers, weights=weights)[0]
-            kernel = rng.choice(kernels)
-            if layer == "svc-plain":
-                t = soak.plain(kernel)
-            elif layer == "svc-cache-corrupt":
-                t = soak.cache_corrupt(kernel)
-            elif layer == "svc-torn-write":
-                t = soak.torn_write(kernel)
-            elif layer == "svc-jit-lowering":
-                t = soak.jit(kernel, materialize=False)
-            elif layer == "svc-jit-materialize":
-                t = soak.jit(kernel, materialize=True)
-            elif layer == "svc-vm-transient":
-                t = soak.vm(kernel, persistent=False)
-            elif layer == "svc-vm-persistent":
-                t = soak.vm(kernel, persistent=True)
-            elif layer == "svc-overload":
-                t = soak.overload(kernel)
-            elif layer == "svc-farm-crash":
-                t = soak.farm_crash(kernel)
-            elif layer == "svc-farm-stall":
-                t = soak.farm_stall(kernel)
-            elif layer == "svc-stale-marker":
-                t = soak.stale_marker(kernel)
-            else:
-                t = soak.deadline(kernel)
-            report.trials.append(t)
-        report.trials.append(soak.breaker_cycle())
-        report.trials.append(soak.stale_serve())
-        report.service_stats = soak.svc.stats()
-    finally:
-        soak.close()
-        if own_dir:
-            shutil.rmtree(root, ignore_errors=True)
-    return report
-
-
-# -- the gateway soak profile --------------------------------------------------
-
-#: gateway-profile fault layers with their campaign weights.
-GATEWAY_LAYERS = (
-    "gw-plain", "gw-garbage", "gw-truncated", "gw-slowloris",
-    "gw-conn-drop", "gw-overload", "gw-deadline", "gw-jit-fault",
-)
-_GATEWAY_WEIGHTS = (30, 10, 10, 8, 12, 8, 10, 12)
+# -- the live-system profiles -------------------------------------------------
 
 
 def _pid_alive(pid: int) -> bool:
@@ -878,13 +377,53 @@ def _pid_alive(pid: int) -> bool:
     return True
 
 
-class _WireJudge:
-    """Response judging shared by the gateway and fleet soaks.
+class _Soak:
+    """State shared by the live-system profiles: the seeded RNGs, a
+    private cache directory, the cold reference memo, the payload
+    builder, and the response judge.
 
-    Subclass contract: ``self.size`` (trial problem size),
-    ``self.ref_runner`` (a cold :class:`FlowRunner`), ``self._refs``
-    (the reference memo dict).
+    ``draws`` is the campaign RNG (layer, then kernel); trials draw their
+    shapes and fault parameters from ``rng``, a second ``Random(seed)``.
     """
+
+    #: the outcome of an ``ok`` answer that differs from the cold
+    #: reference: the wire changed the answer.
+    mismatch = "torn-response"
+
+    def __init__(self, seed: int, size: int) -> None:
+        self.draws = random.Random(seed)
+        self.rng = random.Random(seed)
+        self.seed = seed
+        self.size = size
+        self.root = tempfile.mkdtemp(prefix="repro-chaos-")
+        self.ref_runner = FlowRunner()
+        self._refs: dict = {}
+
+    def close(self) -> None:
+        shutil.rmtree(self.root, ignore_errors=True)
+
+    def _payload(self, kernel: str, size: int | None = None, **over) -> dict:
+        # Both draws happen on every call, pinned shape or not, so pinning
+        # one trial's flow or target never shifts the stream after it.
+        flow = self.rng.choice(_FLOWS)
+        target = self.rng.choice(_TARGETS)
+        return {
+            "op": "compile",
+            "kernel": kernel,
+            "flow": over.get("flow", flow),
+            "target": over.get("target", target),
+            "size": self.size if size is None else size,
+        }
+
+    @staticmethod
+    def _surviving(pids, timeout_s: float) -> list:
+        """The pids still alive after waiting up to ``timeout_s``."""
+        deadline = time.perf_counter() + timeout_s
+        alive = [p for p in set(pids) if _pid_alive(p)]
+        while alive and time.perf_counter() < deadline:
+            time.sleep(0.05)
+            alive = [p for p in alive if _pid_alive(p)]
+        return alive
 
     def reference(self, kernel: str, flow: str, target: str,
                   size: int | None = None):
@@ -899,11 +438,7 @@ class _WireJudge:
 
     def judge(self, layer: str, fault: str, req: dict,
               resp: dict) -> ChaosTrial:
-        """Classify a wire response payload against the invariant.
-
-        The gateway-grade twist on :meth:`_ServiceSoak.judge`: an ``ok``
-        result whose cycles/value diverge from the cold reference is a
-        **torn response** — the wire changed the answer."""
+        """Classify a wire response payload against the invariant."""
         kernel = req.get("kernel", "?")
         error = resp.get("error")
         if error is not None and str(error).startswith("unclassified"):
@@ -922,8 +457,8 @@ class _WireJudge:
                 )
                 if result["cycles"] != cycles or result["value"] != value:
                     return ChaosTrial(
-                        layer, kernel, fault, "torn-response",
-                        f"wire result {result['cycles']}/{result['value']} "
+                        layer, kernel, fault, self.mismatch,
+                        f"result {result['cycles']}/{result['value']} "
                         f"diverged from cold reference {cycles}/{value}",
                     )
                 return ChaosTrial(layer, kernel, fault, "correct",
@@ -949,21 +484,397 @@ class _WireJudge:
         return ChaosTrial(layer, kernel, fault, "silent-wrong",
                           f"unknown response status {status!r}")
 
+    def _judge_shed(self, layer: str, fault: str, req: dict, shed: dict,
+                    after: dict) -> ChaosTrial:
+        """A saturated front must shed with a classified OverloadError,
+        then serve the same request once released."""
+        if shed.get("status") != "shed" or (
+            shed.get("error") != "OverloadError"
+        ):
+            return ChaosTrial(
+                layer, req["kernel"], fault, "silent-wrong",
+                f"expected a classified shed, got {shed.get('status')}/"
+                f"{shed.get('error')}",
+            )
+        trial = self.judge(layer, fault, req, after)
+        if not trial.ok:
+            return trial
+        return ChaosTrial(layer, req["kernel"], fault, "shed",
+                          "shed while saturated, served after")
 
-class _GatewaySoak(_WireJudge):
-    """State of one gateway soak: a live farm-backed service behind a
-    live :class:`~repro.service.gateway.ThreadedGateway`, one resilient
+    def _judge_deadline(self, layer: str, fault: str, req: dict,
+                        resp: dict) -> ChaosTrial:
+        trial = self.judge(layer, fault, req, resp)
+        # An open breaker (left by an earlier persistent-fault trial) may
+        # short-circuit before the deadline is even consulted; both tags
+        # are classified and correct for their interleaving.
+        if trial.outcome == "trapped" and resp.get("error") not in (
+            "DeadlineError", "CircuitOpenError"
+        ):
+            return ChaosTrial(
+                layer, req["kernel"], fault, "silent-wrong",
+                f"expected DeadlineError, got {resp.get('error')}",
+            )
+        return trial
+
+
+class _ServiceSoak(_Soak):
+    """The ``service`` profile: a live cache-backed service soaked in
+    process.  Responses are judged in their wire form, but no wire
+    carried them, so a mismatch here is a ``wrong-answer``."""
+
+    mismatch = "wrong-answer"
+
+    def __init__(self, seed: int, size: int, farm_workers: int = 0) -> None:
+        from ..service import KernelService
+
+        super().__init__(seed, size)
+        # backoff_base=0 keeps the soak fast and deterministic (no real
+        # sleeps); tight breaker knobs make open/half-open/closed cycles
+        # happen organically within a 200-fault campaign.  The tight
+        # farm budget keeps the stall-watchdog trials sub-second.
+        self.svc = KernelService(
+            cache_dir=self.root, seed=seed, retries=1,
+            backoff_base=0.0, breaker_threshold=2, breaker_cooldown=4,
+            queue_limit=16, workers=2,
+            farm_workers=farm_workers, farm_budget_s=0.4,
+        )
+        if farm_workers > 0:
+            # Appended after the service layers, so a farm-less campaign
+            # draws exactly the stream it drew before the farm existed.
+            self.table = {**self.table, **self.farm_table}
+
+    def close(self) -> None:
+        self.svc.close()
+        super().close()
+
+    def _serve(self, req: dict, svc=None, deadline_s=None) -> dict:
+        """Serve ``req`` in process (on ``svc``, default the soaked
+        service); returns the response in its wire form."""
+        from ..service import ServiceRequest
+        from ..service.wire import response_payload
+
+        return response_payload((svc or self.svc).handle(ServiceRequest(
+            req["kernel"], flow=req["flow"], target=req["target"],
+            size=req["size"], deadline_s=deadline_s,
+        )))
+
+    # -- trial kinds ----------------------------------------------------------
+
+    def plain(self, kernel: str) -> ChaosTrial:
+        req = self._payload(kernel)
+        return self.judge("svc-plain", "none", req, self._serve(req))
+
+    def cache_corrupt(self, kernel: str) -> ChaosTrial:
+        """Flip one byte of every on-disk entry, then serve: corrupted
+        entries must be quarantined and recompiled, never served."""
+        import os
+
+        layer, fault = "svc-cache-corrupt", "bitflip-all-entries"
+        names = [n for n in os.listdir(self.root) if n.endswith(".vbk")]
+        for name in names:
+            path = os.path.join(self.root, name)
+            with open(path, "rb") as f:
+                data = bytearray(f.read())
+            if not data:
+                continue
+            off = self.rng.randrange(len(data))
+            data[off] ^= 1 << self.rng.randrange(8)
+            with open(path, "wb") as f:
+                f.write(bytes(data))
+        before = self.svc.cache.quarantined
+        req = self._payload(kernel)
+        resp = self._serve(req)
+        if names and resp["from_cache"]:
+            return ChaosTrial(layer, kernel, fault, "silent-wrong",
+                              "a corrupted cache entry was served")
+        trial = self.judge(layer, fault, req, resp)
+        if not trial.ok:
+            return trial
+        healed = self.svc.cache.quarantined > before
+        # Self-healing: the same request is now re-servable (recompiled,
+        # overwritten) with identical results.
+        resp2 = self._serve(req)
+        trial2 = self.judge(layer, fault, req, resp2)
+        if not trial2.ok:
+            return trial2
+        if (
+            resp["result"] is not None and resp2["result"] is not None
+            and resp2["result"]["value"] != resp["result"]["value"]
+        ):
+            return ChaosTrial(layer, kernel, fault, "wrong-answer",
+                              "recompiled entry changed the answer")
+        return ChaosTrial(
+            layer, kernel, fault, "healed" if healed else trial.outcome,
+            f"quarantined {self.svc.cache.quarantined - before} entries",
+        )
+
+    def torn_write(self, kernel: str) -> ChaosTrial:
+        """Kill the (simulated) service mid-cache-write: no entry under
+        the final name, fresh services recompile."""
+        from ..service import KernelService
+
+        req = self._payload(kernel, flow="split_vec_gcc4cli", target="sse")
+        # Drop any existing entry so the request compiles and *puts* — the
+        # put is where the torn write fires.  (The cache key is a function
+        # of the bytecode, so a warm entry would otherwise absorb it.)
+        self.svc.evict(kernel, req["flow"], req["target"], size=req["size"])
+        fault = faults.CacheTornWrite()
+        before = self.svc.cache.put_failures
+        with faults.injected(faults.FaultPlan([fault])):
+            resp = self._serve(req)
+        trial = self.judge("svc-torn-write", repr(fault), req, resp)
+        if not trial.ok:
+            return trial
+        if self.svc.cache.put_failures <= before:
+            return ChaosTrial("svc-torn-write", kernel, repr(fault),
+                              "silent-wrong", "torn write did not fire")
+        # Crash-safety: a fresh service over the same directory must not
+        # find (let alone serve) the half-written entry.
+        fresh = KernelService(cache_dir=self.root, seed=self.seed)
+        try:
+            resp2 = self._serve(req, fresh)
+        finally:
+            fresh.close()
+        if resp2["from_cache"]:
+            return ChaosTrial(
+                "svc-torn-write", kernel, repr(fault), "silent-wrong",
+                "fresh service served a torn-write entry",
+            )
+        trial2 = self.judge("svc-torn-write", repr(fault), req, resp2)
+        if not trial2.ok:
+            return trial2
+        return ChaosTrial(
+            "svc-torn-write", kernel, repr(fault), "crash-safe",
+            "destination untouched; fresh service recompiled",
+        )
+
+    def jit(self, kernel: str, materialize: bool) -> ChaosTrial:
+        layer = "svc-jit-materialize" if materialize else "svc-jit-lowering"
+        fault = (
+            faults.MaterializeFault(target="*") if materialize
+            else faults.LoweringFault(idiom=self.rng.choice(_IDIOMS),
+                                      target="*")
+        )
+        req = self._payload(kernel)
+        with faults.injected(faults.FaultPlan([fault])):
+            resp = self._serve(req)
+        trial = self.judge(layer, repr(fault), req, resp)
+        if not trial.ok:
+            return trial
+        # Taint guard: the fault-degraded artifact must not have been
+        # persisted — a later clean request must not replay the fault.
+        resp2 = self._serve(self._payload(
+            kernel, flow=req["flow"], target=req["target"]
+        ))
+        if any(e["cause"] == "fault-injected" for e in resp2["events"]):
+            return ChaosTrial(
+                layer, kernel, repr(fault), "silent-wrong",
+                "fault-degraded artifact leaked into the persistent cache",
+            )
+        return trial
+
+    def vm(self, kernel: str, persistent: bool) -> ChaosTrial:
+        layer = "svc-vm-persistent" if persistent else "svc-vm-transient"
+        fault = (
+            faults.MemFault(after=self.rng.randrange(1, 8), repeat=True)
+            if persistent
+            else faults.MemFault(after=self.rng.randrange(1, 80))
+        )
+        req = self._payload(kernel)
+        with faults.injected(faults.FaultPlan([fault])):
+            resp = self._serve(req)
+        return self.judge(layer, repr(fault), req, resp)
+
+    def overload(self, kernel: str) -> ChaosTrial:
+        """Saturate admission, observe a classified shed, then recover."""
+        adm = self.svc.admission
+        slots = []
+        try:
+            while adm.depth < adm.limit:
+                slots.append(adm.admit())
+            req = self._payload(kernel)
+            resp = self._serve(req)
+        finally:
+            for s in slots:
+                s.__exit__(None, None, None)
+        return self._judge_shed("svc-overload", "admission-saturation",
+                                req, resp, self._serve(req))
+
+    def deadline(self, kernel: str) -> ChaosTrial:
+        req = self._payload(kernel)
+        return self._judge_deadline("svc-deadline", "deadline_s=0", req,
+                                    self._serve(req, deadline_s=0.0))
+
+    # -- compile-farm trials (farm_workers > 0 campaigns only) ----------------
+
+    def farm_crash(self, kernel: str) -> ChaosTrial:
+        """A farm worker dies mid-compile: the pool is rebuilt, the job
+        rerouted inline, the response classified and correct, and the
+        cache entry written afterwards is whole (served next request)."""
+        req = self._payload(kernel, flow="split_vec_gcc4cli")
+        self.svc.evict(kernel, req["flow"], req["target"], size=req["size"])
+        fault = faults.WorkerCrash(kernel=kernel)
+        before = self.svc._farm.crashes
+        with faults.injected(faults.FaultPlan([fault])):
+            resp = self._serve(req)
+        trial = self.judge("svc-farm-crash", repr(fault), req, resp)
+        if not trial.ok:
+            return trial
+        if self.svc._farm.crashes <= before:
+            return ChaosTrial("svc-farm-crash", kernel, repr(fault),
+                              "silent-wrong", "worker crash did not fire")
+        # No torn entry: the rerouted compile's cache entry must verify
+        # and serve (a crash must never poison what the leader persists).
+        trial2 = self.judge("svc-farm-crash", repr(fault), req,
+                            self._serve(req))
+        if not trial2.ok:
+            return trial2
+        return ChaosTrial("svc-farm-crash", kernel, repr(fault),
+                          "rerouted", "pool rebuilt; compiled inline")
+
+    def farm_stall(self, kernel: str) -> ChaosTrial:
+        """A wedged farm worker outlives the compile budget: the
+        watchdog kills the pool and the leader reroutes inline."""
+        req = self._payload(kernel, flow="split_vec_gcc4cli")
+        self.svc.evict(kernel, req["flow"], req["target"], size=req["size"])
+        fault = faults.WorkerStall(kernel=kernel, seconds=30.0)
+        before = self.svc._farm.stalls
+        with faults.injected(faults.FaultPlan([fault])):
+            resp = self._serve(req)
+        trial = self.judge("svc-farm-stall", repr(fault), req, resp)
+        if not trial.ok:
+            return trial
+        if self.svc._farm.stalls <= before:
+            return ChaosTrial("svc-farm-stall", kernel, repr(fault),
+                              "silent-wrong",
+                              "stall watchdog did not fire")
+        return ChaosTrial("svc-farm-stall", kernel, repr(fault),
+                          "rerouted", "budget watchdog killed the worker; "
+                          "compiled inline")
+
+    def stale_marker(self, kernel: str) -> ChaosTrial:
+        """A dead replica's aged leader marker sits next to the entry at
+        claim time: this service must take leadership over (TTL expiry),
+        compile, and serve — never wait forever on a corpse."""
+        req = self._payload(kernel, flow="split_vec_gcc4cli")
+        self.svc.evict(kernel, req["flow"], req["target"], size=req["size"])
+        fault = faults.StaleMarker()
+        before = self.svc.cache.marker_takeovers
+        with faults.injected(faults.FaultPlan([fault])):
+            resp = self._serve(req)
+        trial = self.judge("svc-stale-marker", repr(fault), req, resp)
+        if not trial.ok:
+            return trial
+        if self.svc.cache.marker_takeovers <= before:
+            return ChaosTrial("svc-stale-marker", kernel, repr(fault),
+                              "silent-wrong",
+                              "marker takeover did not fire")
+        return ChaosTrial("svc-stale-marker", kernel, repr(fault),
+                          "marker-takeover",
+                          "aged marker reclaimed; compiled locally")
+
+    table = {
+        "svc-plain": (20, plain),
+        "svc-cache-corrupt": (18, cache_corrupt),
+        "svc-torn-write": (8, torn_write),
+        "svc-jit-lowering": (12, lambda s, k: s.jit(k, materialize=False)),
+        "svc-jit-materialize": (8, lambda s, k: s.jit(k, materialize=True)),
+        "svc-vm-transient": (12, lambda s, k: s.vm(k, persistent=False)),
+        "svc-vm-persistent": (12, lambda s, k: s.vm(k, persistent=True)),
+        "svc-overload": (5, overload),
+        "svc-deadline": (5, deadline),
+    }
+    farm_table = {
+        "svc-farm-crash": (6, farm_crash),
+        "svc-farm-stall": (4, farm_stall),
+        "svc-stale-marker": (5, stale_marker),
+    }
+
+    # -- scripted epilogue trials ---------------------------------------------
+
+    def finish(self):
+        """A breaker cycle and a stale serve, then the service stats."""
+        return [self.breaker_cycle(), self.stale_serve()], self.svc.stats()
+
+    def breaker_cycle(self) -> ChaosTrial:
+        """Deterministic closed -> open -> half-open -> closed cycle."""
+        from ..service import KernelService
+
+        s2 = KernelService(
+            cache_dir=None, retries=0, backoff_base=0.0,
+            breaker_threshold=2, breaker_cooldown=3,
+        )
+        try:
+            req = self._payload("saxpy_fp", flow="split_vec_gcc4cli",
+                                target="neon")
+            plan = faults.FaultPlan([faults.MemFault(after=1, repeat=True)])
+            states = []
+            with faults.injected(plan):
+                for _ in range(2):          # threshold failures -> open
+                    self._serve(req, s2)
+                states.append(s2._breakers["neon"].state)
+                for _ in range(2):          # cooldown - 1 short-circuits
+                    self._serve(req, s2)
+                states.append(s2._breakers["neon"].state)
+            # The request that crosses the cooldown IS the probe (the
+            # breaker no longer burns one extra denied request arming
+            # it); the fault has cleared, so it succeeds and closes.
+            probe = self._serve(req, s2)
+            states.append(s2._breakers["neon"].state)
+            ok = (
+                states == ["open", "open", "closed"]
+                and probe["result"] is not None
+            )
+            return ChaosTrial(
+                "svc-breaker", "saxpy_fp", "MemFault(repeat)",
+                "breaker-cycled" if ok else "silent-wrong",
+                f"states={states}",
+            )
+        finally:
+            s2.close()
+
+    def stale_serve(self) -> ChaosTrial:
+        """A known-good result survives a total runtime outage."""
+        from ..service import KernelService
+
+        s3 = KernelService(cache_dir=None, retries=0, backoff_base=0.0)
+        try:
+            req = self._payload("dscal_fp", flow="split_vec_gcc4cli",
+                                target="sse")
+            good = self._serve(req, s3)
+            plan = faults.FaultPlan([faults.MemFault(after=1, repeat=True)])
+            with faults.injected(plan):
+                resp = self._serve(req, s3)
+            ok = (
+                good["status"] == "ok"
+                and resp["status"] == "stale"
+                and resp["result"] is not None
+                and resp["result"]["value"] == good["result"]["value"]
+                and resp["result"]["cycles"] == good["result"]["cycles"]
+                and any(e["cause"] == "stale-cache" for e in resp["events"])
+            )
+            return ChaosTrial(
+                "svc-stale", "dscal_fp", "MemFault(repeat)",
+                "served-stale" if ok else "silent-wrong",
+                f"status={resp['status']}, events="
+                f"{[e['cause'] for e in resp['events']]}",
+            )
+        finally:
+            s3.close()
+
+
+class _GatewaySoak(_Soak):
+    """The ``gateway`` profile: a live farm-backed service behind a live
+    :class:`~repro.service.gateway.ThreadedGateway`, one resilient
     client, one no-retry client, and raw-socket hostile peers."""
 
-    def __init__(self, seed: int, size: int, cache_dir: str,
-                 farm_workers: int = 2) -> None:
+    def __init__(self, seed: int, size: int, farm_workers: int = 2) -> None:
         from ..service import GatewayClient, KernelService, ThreadedGateway
 
-        self.rng = random.Random(seed)
-        self.seed = seed
-        self.size = size
+        super().__init__(seed, size)
         self.svc = KernelService(
-            cache_dir=cache_dir, seed=seed, retries=1, backoff_base=0.0,
+            cache_dir=self.root, seed=seed, retries=1, backoff_base=0.0,
             breaker_threshold=4, breaker_cooldown=3, queue_limit=16,
             workers=4, farm_workers=farm_workers, farm_budget_s=10.0,
         )
@@ -980,25 +891,13 @@ class _GatewaySoak(_WireJudge):
             seed=seed,
         )
         self.fast = GatewayClient([self.addr], retries=0, seed=seed + 1)
-        self.ref_runner = FlowRunner()
-        self._refs: dict = {}
 
     def close(self) -> None:
         self.client.close()
         self.fast.close()
         self.gw.close()
         self.svc.close()
-
-    # -- shared plumbing -------------------------------------------------------
-
-    def _payload(self, kernel: str, **over) -> dict:
-        return {
-            "op": "compile",
-            "kernel": kernel,
-            "flow": over.get("flow", self.rng.choice(_FLOWS)),
-            "target": over.get("target", self.rng.choice(_TARGETS)),
-            "size": self.size,
-        }
+        super().close()
 
     # -- raw-socket hostile peer ----------------------------------------------
 
@@ -1225,21 +1124,9 @@ class _GatewaySoak(_WireJudge):
             resp = self.fast.request(req, deadline_s=10.0)
         finally:
             gw._inflight -= gw.max_inflight
-        if resp.get("status") != "shed" or (
-            resp.get("error") != "OverloadError"
-        ):
-            return ChaosTrial(
-                "gw-overload", kernel, "inflight-saturation",
-                "silent-wrong",
-                f"expected a classified shed, got {resp.get('status')}/"
-                f"{resp.get('error')}",
-            )
-        resp2 = self.client.request(req, deadline_s=60.0)
-        trial2 = self.judge("gw-overload", "inflight-saturation", req, resp2)
-        if not trial2.ok:
-            return trial2
-        return ChaosTrial("gw-overload", kernel, "inflight-saturation",
-                          "shed", "shed while saturated, served after")
+        return self._judge_shed("gw-overload", "inflight-saturation", req,
+                                resp, self.client.request(req,
+                                                          deadline_s=60.0))
 
     def deadline(self, kernel: str) -> ChaosTrial:
         from ..service import wire
@@ -1258,15 +1145,7 @@ class _GatewaySoak(_WireJudge):
         if reply is None:
             return ChaosTrial("gw-deadline", kernel, fault, "silent-wrong",
                               "no reply to a deadlined request")
-        trial = self.judge("gw-deadline", fault, req, reply)
-        if trial.outcome == "trapped" and reply.get("error") not in (
-            "DeadlineError", "CircuitOpenError"
-        ):
-            return ChaosTrial(
-                "gw-deadline", kernel, fault, "silent-wrong",
-                f"expected DeadlineError, got {reply.get('error')}",
-            )
-        return trial
+        return self._judge_deadline("gw-deadline", fault, req, reply)
 
     def jit_fault(self, kernel: str) -> ChaosTrial:
         """An in-service fault observed *through* the wire: the response
@@ -1282,7 +1161,24 @@ class _GatewaySoak(_WireJudge):
             resp = self.client.request(req, deadline_s=60.0)
         return self.judge("gw-jit-fault", repr(fault), req, resp)
 
+    table = {
+        "gw-plain": (30, plain),
+        "gw-garbage": (10, garbage),
+        "gw-truncated": (10, truncated),
+        "gw-slowloris": (8, slowloris),
+        "gw-conn-drop": (12, conn_drop),
+        "gw-overload": (8, overload),
+        "gw-deadline": (10, deadline),
+        "gw-jit-fault": (12, jit_fault),
+    }
+
     # -- scripted epilogue trials ---------------------------------------------
+
+    def finish(self):
+        """Stats first (the shutdown audit closes the stack they
+        describe), then the graceful drain and the shutdown audit."""
+        stats = {"service": self.svc.stats(), "gateway": self.gw.stats()}
+        return [self.drain_trial(), self.leaked_workers_trial()], stats
 
     def drain_trial(self) -> ChaosTrial:
         """Graceful drain on a fresh gateway: readiness flips first, a
@@ -1391,11 +1287,7 @@ class _GatewaySoak(_WireJudge):
         """Close the whole stack; every farm worker PID must be dead."""
         pids = self.svc.farm_worker_pids()
         self.close()
-        deadline = time.perf_counter() + 10.0
-        alive = [p for p in pids if _pid_alive(p)]
-        while alive and time.perf_counter() < deadline:
-            time.sleep(0.05)
-            alive = [p for p in pids if _pid_alive(p)]
+        alive = self._surviving(pids, 10.0)
         if alive:
             return ChaosTrial("gw-shutdown", "*", "stack close",
                               "leaked-workers",
@@ -1404,104 +1296,34 @@ class _GatewaySoak(_WireJudge):
                           f"all {len(pids)} farm workers dead after close")
 
 
-def run_gateway_campaign(
-    n_faults: int = 200,
-    seed: int = 0,
-    kernels=_DEFAULT_KERNELS,
-    size: int = 16,
-    cache_dir: str | None = None,
-    farm_workers: int = 2,
-) -> ChaosReport:
-    """Soak a live gateway-fronted service with ``n_faults`` seeded
-    wire-and-service faults; returns the outcome census with gateway and
-    service stats attached.
-
-    The fault stream is deterministic in ``seed``; trial outcomes are
-    wall-clock tolerant (a deadline that is rarely met in time is still
-    a passing, classified outcome).  Ends with two scripted epilogues:
-    the graceful-drain trial and the leaked-workers audit — the
-    invariant of ISSUE 7: zero torn responses, zero unclassified errors,
-    zero leaked farm workers.
-    """
-    import shutil
-    import tempfile
-
-    rng = random.Random(seed)
-    kernels = tuple(kernels)
-    own_dir = cache_dir is None
-    root = cache_dir or tempfile.mkdtemp(prefix="repro-gw-chaos-")
-    soak = _GatewaySoak(seed, size, root, farm_workers=int(farm_workers))
-    report = ChaosReport(seed=seed)
-    try:
-        for _ in range(int(n_faults)):
-            layer = rng.choices(GATEWAY_LAYERS,
-                                weights=_GATEWAY_WEIGHTS)[0]
-            kernel = rng.choice(kernels)
-            if layer == "gw-plain":
-                t = soak.plain(kernel)
-            elif layer == "gw-garbage":
-                t = soak.garbage(kernel)
-            elif layer == "gw-truncated":
-                t = soak.truncated(kernel)
-            elif layer == "gw-slowloris":
-                t = soak.slowloris(kernel)
-            elif layer == "gw-conn-drop":
-                t = soak.conn_drop(kernel)
-            elif layer == "gw-overload":
-                t = soak.overload(kernel)
-            elif layer == "gw-deadline":
-                t = soak.deadline(kernel)
-            else:
-                t = soak.jit_fault(kernel)
-            report.trials.append(t)
-        report.service_stats = {
-            "service": soak.svc.stats(),
-            "gateway": soak.gw.stats(),
-        }
-        report.trials.append(soak.drain_trial())
-        report.trials.append(soak.leaked_workers_trial())
-    finally:
-        soak.close()
-        if own_dir:
-            shutil.rmtree(root, ignore_errors=True)
-    return report
-
-
-FLEET_LAYERS = ("fl-plain", "fl-warm-identity", "fl-kill-compile",
-                "fl-kill-write", "fl-kill-lead", "fl-kill-wire")
-_FLEET_WEIGHTS = (25, 15, 18, 12, 15, 15)
-
-
-class _FleetSoak(_WireJudge):
-    """State of one fleet soak: a live :class:`FleetSupervisor` over N
-    real ``serve --listen`` child processes sharing one cache directory,
-    one sharded failover client, and the SIGKILL chaos driver.
+class _FleetSoak(_Soak):
+    """The ``fleet`` profile: a live :class:`FleetSupervisor` over N real
+    ``serve --listen`` child processes sharing one cache directory, one
+    sharded failover client, and the SIGKILL chaos driver.
 
     The kill layers SIGKILL the *shard-owner* replica of an in-flight
     cold compile at seeded moments — early (mid-compile), late
     (mid-cache-write), while its ``.lead`` cross-replica coalescing
     marker is fresh, and mid-frame under a pinned no-retry client — and
     judge that the sharded client rides through with a correct answer
-    while the supervisor respawns the victim.  Every killed pid (replica
-    and its farm workers) is recorded for the end-of-campaign leak
-    audit; the shared cache directory is audited last: every ``*.vbk``
-    must verify, the quarantine must be empty (atomic writes never let a
-    torn entry into the namespace), and no stale ``.lead`` marker may
-    survive.
+    while the supervisor respawns the victim.  They ignore the drawn
+    kernel: each draws its own cold shape from the soak RNG.  Every
+    killed pid (replica and its farm workers) is recorded for the
+    end-of-campaign leak audit; the shared cache directory is audited
+    last: every ``*.vbk`` must verify, the quarantine must be empty
+    (atomic writes never let a torn entry into the namespace), and no
+    stale ``.lead`` marker may survive.
     """
 
-    def __init__(self, seed: int, size: int, cache_dir: str,
-                 replicas: int = 3, farm_workers: int = 1) -> None:
+    def __init__(self, seed: int, size: int, replicas: int = 3,
+                 farm_workers: int = 1) -> None:
         from ..service.supervisor import FleetSupervisor
 
-        self.rng = random.Random(seed)
-        self.seed = seed
-        self.size = size
-        self.root = cache_dir
+        super().__init__(seed, size)
         self.replicas = int(replicas)
         self.marker_ttl_s = 1.5
         self.sup = FleetSupervisor(
-            self.replicas, cache_dir,
+            self.replicas, self.root,
             farm_workers=farm_workers, workers=4,
             queue_limit=32, max_inflight=32,
             marker_ttl_s=self.marker_ttl_s, farm_budget_s=10.0,
@@ -1520,8 +1342,6 @@ class _FleetSoak(_WireJudge):
             retries=8, backoff_base=0.02, backoff_cap=0.4,
             dead_cooldown_s=0.25, seed=seed,
         )
-        self.ref_runner = FlowRunner()
-        self._refs: dict = {}
         # Odd sizes, strictly increasing: every cold shape is a CacheKey
         # the fleet has never seen (warm trials use ``size`` itself).
         self._cold_size = size + (1 if size % 2 == 0 else 2)
@@ -1531,17 +1351,9 @@ class _FleetSoak(_WireJudge):
     def close(self) -> None:
         self.client.close()
         self.sup.stop()
+        super().close()
 
     # -- plumbing --------------------------------------------------------------
-
-    def _payload(self, kernel: str, size: int | None = None) -> dict:
-        return {
-            "op": "compile",
-            "kernel": kernel,
-            "flow": self.rng.choice(_FLOWS),
-            "target": self.rng.choice(_TARGETS),
-            "size": self.size if size is None else size,
-        }
 
     def _cold_payload(self, kernel: str) -> dict:
         size = self._cold_size
@@ -1589,6 +1401,15 @@ class _FleetSoak(_WireJudge):
                     if n.endswith(".lead")]
         except OSError:
             return []
+
+    @staticmethod
+    def _issue(client, req: dict, out: dict, deadline_s: float) -> None:
+        """``client.request`` with its answer or exception kept in
+        ``out`` for :meth:`_judge_ride_through`."""
+        try:
+            out["resp"] = client.request(req, deadline_s=deadline_s)
+        except Exception as exc:  # noqa: BLE001 - judged by the caller
+            out["exc"] = exc
 
     # -- trial kinds -----------------------------------------------------------
 
@@ -1666,14 +1487,8 @@ class _FleetSoak(_WireJudge):
         fault = f"kill -9 replica {victim} after ~{delay_lo:.2f}s"
         doomed = self._pids_of(victim)
         out: dict = {}
-
-        def issue() -> None:
-            try:
-                out["resp"] = self.client.request(req, deadline_s=120.0)
-            except Exception as exc:  # noqa: BLE001 - judged below
-                out["exc"] = exc
-
-        worker = threading.Thread(target=issue)
+        worker = threading.Thread(target=self._issue,
+                                  args=(self.client, req, out, 120.0))
         worker.start()
         time.sleep(self.rng.uniform(delay_lo, delay_hi))
         pid = self.sup.kill(victim)
@@ -1695,17 +1510,10 @@ class _FleetSoak(_WireJudge):
     def _judge_ride_through(self, layer: str, kernel: str, fault: str,
                             req: dict, out: dict) -> ChaosTrial:
         if "exc" in out:
-            from ..errors import classify, is_classified
-
-            exc = out["exc"]
-            if is_classified(exc):
-                # Classified but still a lost answer: with a whole fleet
-                # to fail over to, the client should have ridden through.
-                return ChaosTrial(layer, kernel, fault, "silent-wrong",
-                                  f"sharded client gave up with "
-                                  f"{classify(exc)}: {exc}")
-            return ChaosTrial(layer, kernel, fault, "unclassified-trap",
-                              f"{type(exc).__name__}: {exc}")
+            # Classified but still a lost answer: with a whole fleet to
+            # fail over to, the client should have ridden through.
+            return _escaped(layer, kernel, fault, out["exc"],
+                            "sharded client")
         trial = self.judge(layer, fault, req, out["resp"])
         if not trial.ok:
             return trial
@@ -1714,12 +1522,6 @@ class _FleetSoak(_WireJudge):
         return ChaosTrial(layer, kernel, fault, "killed-through",
                           f"served correct through the kill "
                           f"({out['resp'].get('attempts')} attempt(s))")
-
-    def kill_compile(self) -> ChaosTrial:
-        return self._kill_mid_flight("fl-kill-compile", 0.005, 0.08)
-
-    def kill_write(self) -> ChaosTrial:
-        return self._kill_mid_flight("fl-kill-write", 0.08, 0.4)
 
     def kill_lead(self) -> ChaosTrial:
         """Kill the shard owner while its cross-replica ``.lead`` marker
@@ -1767,14 +1569,8 @@ class _FleetSoak(_WireJudge):
         doomed = self._pids_of(victim)
         pinned = GatewayClient([addr], retries=0, seed=self.seed + 53)
         out: dict = {}
-
-        def issue() -> None:
-            try:
-                out["resp"] = pinned.request(req, deadline_s=60.0)
-            except Exception as exc:  # noqa: BLE001 - judged below
-                out["exc"] = exc
-
-        worker = threading.Thread(target=issue)
+        worker = threading.Thread(target=self._issue,
+                                  args=(pinned, req, out, 60.0))
         worker.start()
         time.sleep(self.rng.uniform(0.01, 0.1))
         pid = self.sup.kill(victim)
@@ -1788,8 +1584,6 @@ class _FleetSoak(_WireJudge):
                               "pinned request still in flight 120s "
                               "after kill")
         if "exc" in out:
-            from ..errors import classify, is_classified
-
             exc = out["exc"]
             if not is_classified(exc):
                 return ChaosTrial(layer, kernel, fault, "unclassified-trap",
@@ -1802,8 +1596,9 @@ class _FleetSoak(_WireJudge):
             if not t.ok:
                 return t
             detail = "kill missed the flight; whole frame served"
-        resp2 = self.client.request(req, deadline_s=120.0)
-        t2 = self.judge(layer, fault, req, resp2)
+        survivors: dict = {}
+        self._issue(self.client, req, survivors, 120.0)
+        t2 = self._judge_ride_through(layer, kernel, fault, req, survivors)
         if not t2.ok:
             return t2
         healed = self._heal(layer, kernel, fault)
@@ -1812,14 +1607,40 @@ class _FleetSoak(_WireJudge):
         return ChaosTrial(layer, kernel, fault, "killed-through",
                           f"{detail}; survivors served the same key")
 
+    table = {
+        "fl-plain": (25, plain),
+        "fl-warm-identity": (15, warm_identity),
+        "fl-kill-compile": (18, lambda s, _k: s._kill_mid_flight(
+            "fl-kill-compile", 0.005, 0.08)),
+        "fl-kill-write": (12, lambda s, _k: s._kill_mid_flight(
+            "fl-kill-write", 0.08, 0.4)),
+        "fl-kill-lead": (15, lambda s, _k: s.kill_lead()),
+        "fl-kill-wire": (15, lambda s, _k: s.kill_wire()),
+    }
+
     # -- scripted epilogue trials ---------------------------------------------
+
+    def finish(self):
+        """The four audits, then the fleet stats (after the readiness
+        check, which waits the fleet back to full capacity)."""
+        trials = [self.park_trial(), self.cache_audit_trial(),
+                  self.farm_leak_trial(), self.final_ready_trial()]
+        return trials, {
+            "fleet": self.sup.stats(),
+            "ready": self.sup.ready(),
+            "kills": self.kills,
+            "client": {
+                "attempts": self.client.attempts,
+                "failovers": self.client.failovers,
+                "wire_errors": self.client.wire_errors,
+            },
+        }
 
     def park_trial(self) -> ChaosTrial:
         """Flap suppression on a throwaway one-replica supervisor: kill
         it past its restart budget and the replica must park with a
         classified FleetError, with readiness reporting the lost
         capacity."""
-        from ..errors import classify
         from ..service.supervisor import FleetSupervisor
 
         layer, fault = "fl-park", "kill -9 x3 inside the flap window"
@@ -1905,11 +1726,7 @@ class _FleetSoak(_WireJudge):
         workers — must actually be gone (the farm's parent-death
         watchdog is what makes the workers true orphan-proof)."""
         layer, fault = "fl-leak-audit", f"{self.kills} kills"
-        deadline = time.perf_counter() + 20.0
-        alive = [p for p in set(self.dead_pids) if _pid_alive(p)]
-        while alive and time.perf_counter() < deadline:
-            time.sleep(0.05)
-            alive = [p for p in set(self.dead_pids) if _pid_alive(p)]
+        alive = self._surviving(self.dead_pids, 20.0)
         if alive:
             return ChaosTrial(layer, "*", fault, "leaked-workers",
                               f"pids {alive} survived their replica's "
@@ -1938,77 +1755,55 @@ class _FleetSoak(_WireJudge):
                           f"up after {self.kills} kills")
 
 
-def run_fleet_campaign(
-    n_faults: int = 200,
-    seed: int = 0,
-    kernels=_DEFAULT_KERNELS,
-    size: int = 16,
-    cache_dir: str | None = None,
-    replicas: int = 3,
-    farm_workers: int = 1,
-) -> ChaosReport:
-    """SIGKILL crash-consistency campaign over a supervised replica
-    fleet (ISSUE 8's invariant).
+#: profile name -> profile class.  A profile is constructed as
+#: ``cls(seed, size, **options)`` and provides ``draws`` (the campaign
+#: RNG), ``table`` (``{layer: (weight, trial)}``, ``trial(profile,
+#: kernel) -> ChaosTrial``), ``finish() -> (epilogue trials, stats)`` and
+#: ``close()``.
+_PROFILES = {
+    "layers": _Layers,
+    "service": _ServiceSoak,
+    "gateway": _GatewaySoak,
+    "fleet": _FleetSoak,
+}
 
-    ``n_faults`` seeded trials against a live N-replica fleet sharing
-    one cache directory — plain sharded traffic, cross-replica warm
-    byte-identity probes, and SIGKILLs of the shard-owner replica
-    mid-cold-compile, mid-cache-write, while holding a ``.lead``
-    marker, and mid-frame under a pinned client — followed by four
-    scripted epilogues: the flap->park trial, the shared-cache audit
-    (every envelope verifies, quarantine empty, zero stale leads), the
-    killed-pid leak audit, and the full-capacity readiness check.
+#: each profile's layer names, in draw order.
+LAYERS = tuple(_Layers.table)
+SERVICE_LAYERS = tuple(_ServiceSoak.table)
+FARM_LAYERS = tuple(_ServiceSoak.farm_table)
+GATEWAY_LAYERS = tuple(_GatewaySoak.table)
+FLEET_LAYERS = tuple(_FleetSoak.table)
+
+
+def run_campaign(profile: str = "layers", n_faults: int = 200,
+                 seed: int = 0, size: int = 16,
+                 **profile_options) -> ChaosReport:
+    """Inject ``n_faults`` seeded faults under one profile; returns the
+    outcome census with the profile's stats attached.
+
+    Each iteration draws a layer from the profile's weighted table, then
+    a kernel, and runs that layer's trial; the profile's scripted
+    epilogue runs last.  ``profile_options`` configure the profile:
+    ``include_harness``/``harness_timeout`` for ``layers``,
+    ``farm_workers`` for the live profiles, ``replicas`` for ``fleet``.
     """
-    import shutil
-    import tempfile
-
-    rng = random.Random(seed)
-    kernels = tuple(kernels)
-    own_dir = cache_dir is None
-    root = cache_dir or tempfile.mkdtemp(prefix="repro-fleet-chaos-")
-    soak = _FleetSoak(seed, size, root, replicas=int(replicas),
-                      farm_workers=int(farm_workers))
+    prof = _PROFILES[profile](seed, size, **profile_options)
     report = ChaosReport(seed=seed)
     try:
+        names = tuple(prof.table)
+        weights = [weight for weight, _trial in prof.table.values()]
         for _ in range(int(n_faults)):
-            layer = rng.choices(FLEET_LAYERS, weights=_FLEET_WEIGHTS)[0]
-            kernel = rng.choice(kernels)
+            layer = prof.draws.choices(names, weights=weights)[0]
+            kernel = prof.draws.choice(_DEFAULT_KERNELS)
             try:
-                if layer == "fl-plain":
-                    t = soak.plain(kernel)
-                elif layer == "fl-warm-identity":
-                    t = soak.warm_identity(kernel)
-                elif layer == "fl-kill-compile":
-                    t = soak.kill_compile()
-                elif layer == "fl-kill-write":
-                    t = soak.kill_write()
-                elif layer == "fl-kill-lead":
-                    t = soak.kill_lead()
-                else:
-                    t = soak.kill_wire()
+                t = prof.table[layer][1](prof, kernel)
             except Exception as exc:  # noqa: BLE001 - census integrity:
                 # a trial that dies is a failing outcome, never a
                 # campaign crash that loses the whole report.
-                t = ChaosTrial(layer, kernel, "trial-crashed",
-                               "unclassified-trap",
-                               f"{type(exc).__name__}: {exc}")
+                t = _escaped(layer, kernel, "trial-crashed", exc, "trial")
             report.trials.append(t)
-        report.trials.append(soak.park_trial())
-        report.trials.append(soak.cache_audit_trial())
-        report.trials.append(soak.farm_leak_trial())
-        report.trials.append(soak.final_ready_trial())
-        report.service_stats = {
-            "fleet": soak.sup.stats(),
-            "ready": soak.sup.ready(),
-            "kills": soak.kills,
-            "client": {
-                "attempts": soak.client.attempts,
-                "failovers": soak.client.failovers,
-                "wire_errors": soak.client.wire_errors,
-            },
-        }
+        epilogue, report.service_stats = prof.finish()
+        report.trials.extend(epilogue)
     finally:
-        soak.close()
-        if own_dir:
-            shutil.rmtree(root, ignore_errors=True)
+        prof.close()
     return report

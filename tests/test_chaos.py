@@ -103,9 +103,7 @@ def test_report_summary_mentions_invariant():
 def service_campaign():
     """One service-profile soak shared by the assertions below (the CI
     job runs the full 200-fault version; this keeps tier-1 quick)."""
-    from repro.harness.chaos import run_service_campaign
-
-    return run_service_campaign(n_faults=60, seed=2026)
+    return run_campaign("service", n_faults=60, seed=2026)
 
 
 def test_service_campaign_invariant_holds(service_campaign):
@@ -137,11 +135,30 @@ def test_service_campaign_reports_service_stats(service_campaign):
     assert stats["cache"]["put_failures"] > 0
 
 
-def test_service_campaign_deterministic_in_seed():
-    from repro.harness.chaos import run_service_campaign
+#: the first 12 (layer, kernel) draws of the fixture above, recorded
+#: once: the campaign RNG draws only these two, so the list moves only
+#: when the seed, the layer weights or the draw order do.
+SERVICE_FIXTURE_STREAM = [
+    ("svc-plain", "saxpy_fp"), ("svc-vm-persistent", "sfir_fp"),
+    ("svc-vm-persistent", "sfir_fp"), ("svc-vm-transient", "sfir_fp"),
+    ("svc-cache-corrupt", "saxpy_fp"), ("svc-plain", "saxpy_fp"),
+    ("svc-torn-write", "sfir_fp"), ("svc-vm-transient", "dscal_fp"),
+    ("svc-torn-write", "interp_fp"), ("svc-deadline", "interp_fp"),
+    ("svc-vm-persistent", "saxpy_fp"), ("svc-vm-transient", "saxpy_fp"),
+]
 
-    a = run_service_campaign(n_faults=15, seed=11)
-    b = run_service_campaign(n_faults=15, seed=11)
+
+def test_service_campaign_stream_pinned(service_campaign):
+    """Pinned-seed campaigns replay across commits, not just within one
+    process (docs/service.md section 6)."""
+    assert [
+        (t.layer, t.kernel) for t in service_campaign.trials[:12]
+    ] == SERVICE_FIXTURE_STREAM
+
+
+def test_service_campaign_deterministic_in_seed():
+    a = run_campaign("service", n_faults=15, seed=11)
+    b = run_campaign("service", n_faults=15, seed=11)
     assert [
         (t.layer, t.kernel, t.fault, t.outcome) for t in a.trials
     ] == [
@@ -154,9 +171,9 @@ def test_service_campaign_with_farm_faults():
     worker crash mid-compile (rerouted, no torn entry), worker stall
     (reclaimed by the compile budget), and stale leader markers (taken
     over) — the invariant must hold through all of them."""
-    from repro.harness.chaos import FARM_LAYERS, run_service_campaign
+    from repro.harness.chaos import FARM_LAYERS
 
-    rep = run_service_campaign(n_faults=40, seed=5, farm_workers=2)
+    rep = run_campaign("service", n_faults=40, seed=5, farm_workers=2)
     assert rep.ok, rep.summary()
     hit = {t.layer for t in rep.trials}
     assert set(FARM_LAYERS) <= hit
@@ -166,14 +183,36 @@ def test_service_campaign_with_farm_faults():
     assert rep.service_stats["farm"]["rebuilds"] > 0
 
 
+def test_one_judge_keeps_each_profiles_mismatch_outcome():
+    """The live profiles share one response judge: an ``ok`` answer that
+    differs from the cold reference is a ``wrong-answer`` in process and
+    a ``torn-response`` once a wire carried it."""
+    from repro.harness.chaos import _GatewaySoak, _ServiceSoak
+
+    svc = _ServiceSoak(0, 16)
+    try:
+        req = svc._payload("saxpy_fp", flow="split_vec_mono", target="sse")
+        resp = svc._serve(req)
+        assert svc.judge("svc-plain", "none", req, resp).outcome == "correct"
+        resp["result"]["cycles"] += 1
+        trial = svc.judge("svc-plain", "none", req, resp)
+        assert trial.outcome == "wrong-answer", trial
+    finally:
+        svc.close()
+    gw = _GatewaySoak(0, 16, farm_workers=0)
+    try:
+        trial = gw.judge("gw-plain", "none", req, resp)
+        assert trial.outcome == "torn-response", trial
+    finally:
+        gw.close()
+
+
 def test_service_campaign_farm_stream_extends_default_stream():
     """The farm layers join the draw without disturbing the pinned-seed
     default stream: a farm-less campaign at the same seed is unchanged
     (bit-for-bit) by the farm feature existing."""
-    from repro.harness.chaos import run_service_campaign
-
-    a = run_service_campaign(n_faults=15, seed=11)
-    b = run_service_campaign(n_faults=15, seed=11, farm_workers=0)
+    a = run_campaign("service", n_faults=15, seed=11)
+    b = run_campaign("service", n_faults=15, seed=11, farm_workers=0)
     assert [
         (t.layer, t.kernel, t.fault, t.outcome) for t in a.trials
     ] == [
@@ -210,3 +249,46 @@ def test_vm_mem_parity_covers_every_registered_engine():
         unregister_engine("fault-blind")
     assert trial.outcome == "parity-mismatch", trial
     assert trial.detail.startswith("fault-blind=")
+
+
+class _RaisingProfile:
+    """A toy profile whose two trials raise: one exception inside the
+    taxonomy, one outside it."""
+
+    def __init__(self, seed, size):
+        self.draws = random.Random(seed)
+
+    def lost(self, kernel):
+        from repro.service import NetworkError
+
+        raise NetworkError("connect", "no live gateway replicas")
+
+    def broken(self, kernel):
+        raise ValueError("not a classified failure")
+
+    table = {"toy-lost": (1, lost), "toy-broken": (1, broken)}
+
+    def finish(self):
+        return [], None
+
+    def close(self):
+        pass
+
+
+def test_census_guard_keeps_the_failure_taxonomy(monkeypatch):
+    """A trial that raises becomes a failing trial, never a lost report:
+    a classified escape is a lost answer naming its tag, anything else
+    an unclassified trap."""
+    from repro.harness import chaos
+
+    monkeypatch.setitem(chaos._PROFILES, "toy", _RaisingProfile)
+    rep = run_campaign("toy", n_faults=12, seed=0)
+    assert len(rep.trials) == 12
+    by_layer = {t.layer: t for t in rep.trials}
+    lost, broken = by_layer["toy-lost"], by_layer["toy-broken"]
+    assert (lost.fault, lost.outcome) == ("trial-crashed", "silent-wrong")
+    assert "NetworkError" in lost.detail
+    assert (broken.fault, broken.outcome) == ("trial-crashed",
+                                              "unclassified-trap")
+    assert broken.detail.startswith("ValueError:")
+    assert not rep.ok

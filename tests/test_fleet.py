@@ -519,15 +519,32 @@ def test_sigkill_gateway_reaps_farm_workers(tmp_path):
 # -- quick fleet chaos gate ---------------------------------------------------
 
 
+#: the (layer, kernel) stream of the gate below, recorded once.  The
+#: campaign RNG draws each trial's layer and kernel; the kill layers
+#: ignore that kernel and draw a cold one from the soak's own seeded
+#: RNG, so the list moves only when the seed, the weights or the draw
+#: order do.
+FLEET_GATE_STREAM = [
+    ("fl-plain", "saxpy_fp"), ("fl-kill-wire", "saxpy_fp"),
+    ("fl-kill-lead", "sfir_fp"), ("fl-kill-lead", "saxpy_fp"),
+    ("fl-plain", "saxpy_fp"), ("fl-plain", "saxpy_fp"),
+    ("fl-kill-compile", "sfir_fp"), ("fl-kill-write", "interp_fp"),
+    ("fl-warm-identity", "interp_fp"), ("fl-kill-wire", "interp_fp"),
+    ("fl-kill-lead", "interp_fp"), ("fl-kill-lead", "interp_fp"),
+    ("fl-park", "*"), ("fl-cache-audit", "*"), ("fl-leak-audit", "*"),
+    ("fl-final", "*"),
+]
+
+
 @pytest.fixture(scope="module")
 def fleet_campaign():
     """One quick fleet soak shared by the assertions below (the CI
     fleet-soak job runs the full 200-fault campaigns at both pinned
     seeds; this keeps tier-1 honest without the full bill)."""
-    from repro.harness.chaos import run_fleet_campaign
+    from repro.harness.chaos import run_campaign
 
-    return run_fleet_campaign(n_faults=12, seed=2026, replicas=3,
-                              farm_workers=1)
+    return run_campaign("fleet", n_faults=12, seed=2026, replicas=3,
+                        farm_workers=1)
 
 
 def test_fleet_campaign_invariant_holds(fleet_campaign):
@@ -551,3 +568,9 @@ def test_fleet_campaign_injected_kills(fleet_campaign):
     assert stats["ready"]["ready"] is True
     assert stats["ready"]["degraded"] is False
     assert stats["fleet"]["restarts"] >= stats["kills"]
+
+
+def test_fleet_campaign_stream_pinned(fleet_campaign):
+    assert [
+        (t.layer, t.kernel) for t in fleet_campaign.trials
+    ] == FLEET_GATE_STREAM

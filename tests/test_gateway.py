@@ -717,3 +717,54 @@ def test_sigterm_drains_gateway_and_reaps_farm(tmp_path):
         if proc.poll() is None:
             proc.kill()
             proc.communicate(timeout=10)
+
+
+# -- quick gateway chaos gate -------------------------------------------------
+
+#: the (layer, kernel) stream of the gate below, recorded once: the
+#: campaign RNG draws only these two, so the list moves only when the
+#: seed, the layer weights or the draw order do.
+GATEWAY_GATE_STREAM = [
+    ("gw-plain", "saxpy_fp"), ("gw-jit-fault", "sfir_fp"),
+    ("gw-deadline", "sfir_fp"), ("gw-overload", "sfir_fp"),
+    ("gw-plain", "saxpy_fp"), ("gw-plain", "saxpy_fp"),
+    ("gw-truncated", "sfir_fp"), ("gw-conn-drop", "dscal_fp"),
+    ("gw-garbage", "interp_fp"), ("gw-jit-fault", "interp_fp"),
+    ("gw-deadline", "saxpy_fp"), ("gw-overload", "saxpy_fp"),
+    ("gw-drain", "gemm_fp"), ("gw-shutdown", "*"),
+]
+
+
+@pytest.fixture(scope="module")
+def gateway_campaign():
+    """One quick gateway soak shared by the assertions below (the CI
+    gateway-soak job runs the full 200-fault campaigns at both pinned
+    seeds; this keeps tier-1 honest without the full bill)."""
+    from repro.harness.chaos import run_campaign
+
+    return run_campaign("gateway", n_faults=12, seed=2026)
+
+
+def test_gateway_campaign_invariant_holds(gateway_campaign):
+    assert gateway_campaign.ok, gateway_campaign.summary()
+
+
+def test_gateway_campaign_ran_its_epilogues(gateway_campaign):
+    """The scripted epilogues always run: the graceful drain and the
+    leaked-farm-workers audit after the stack closes."""
+    outcomes = {t.outcome for t in gateway_campaign.trials}
+    assert "drained-clean" in outcomes
+    assert "farm-reaped" in outcomes
+
+
+def test_gateway_campaign_reports_stats(gateway_campaign):
+    stats = gateway_campaign.service_stats
+    assert set(stats) == {"service", "gateway"}
+    assert stats["service"]["requests"] > 0
+    assert stats["service"]["farm"] is not None
+
+
+def test_gateway_campaign_stream_pinned(gateway_campaign):
+    assert [
+        (t.layer, t.kernel) for t in gateway_campaign.trials
+    ] == GATEWAY_GATE_STREAM
