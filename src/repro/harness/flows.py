@@ -12,10 +12,17 @@ Letters follow the figure as used in the evaluation ratios:
 low-scalar-overhead claim.)  Each flow compiles a kernel instance, executes
 it on the cycle-cost VM, checks the results against the numpy reference,
 and reports cycles plus compile-time/bytecode statistics.
+
+This module alone knows what an offline artifact is: the IR a flow hands
+its online compiler, that IR's cache identity (canonical CRC) and the
+bytecode sizes a result reports.  The service and its compile farm ask
+:class:`FlowRunner` for them.
 """
 
 from __future__ import annotations
 
+import functools
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +33,7 @@ from ..machine.registry import DEFAULT_ENGINE
 from ..bytecode import decode_function, encode_function
 from ..errors import ReproError
 from ..frontend import compile_source
-from ..ir import Function
+from ..ir import Function, print_function
 from ..jit import CompiledKernel, MonoJIT, NativeBackend, OptimizingJIT
 from ..kernels import Kernel, KernelInstance, get_kernel
 from ..machine import ArrayBuffer
@@ -44,6 +51,10 @@ FLOWS = {
     "native_scalar": ("scalar", NativeBackend),
     "native_vec": ("native", NativeBackend),
 }
+
+#: Most VaporC programs one runner keeps the offline stage of (least
+#: recently used out first); above the 35 a full ``repro report`` touches.
+MAX_PROGRAMS = 64
 
 
 @dataclass
@@ -69,8 +80,38 @@ class CheckError(ReproError, AssertionError):
     """
 
 
+class _Program:
+    """One VaporC program's artifacts, each built once under ``lock``:
+    IR forms, their CRCs, bytecode sizes and compiled kernels.  The lock
+    is reentrant because a form is built from the forms before it."""
+
+    __slots__ = ("entry", "source", "lock", "memo")
+
+    def __init__(self, entry: str, source: str) -> None:
+        self.entry = entry
+        self.source = source
+        self.lock = threading.RLock()
+        self.memo: dict = {}
+
+    def get(self, slot, build):
+        value = self.memo.get(slot)
+        if value is None:
+            with self.lock:
+                value = self.memo.get(slot)
+                if value is None:
+                    value = self.memo[slot] = build()
+        return value
+
+
 class FlowRunner:
-    """Compiles and runs kernels through the Figure 4 flows, with caching.
+    """Compiles and runs kernels through the Figure 4 flows.
+
+    The offline stage is deterministic and the vectorizer configuration
+    fixed per runner, so it is cached by program, ``(entry, source)``:
+    every size of a kernel whose source takes the size as a runtime
+    argument shares its IR, CRC, bytecode sizes and compiled kernels.
+    Each program builds under its own lock, and at most
+    :data:`MAX_PROGRAMS` are kept.
 
     ``base_misalign`` controls the simulated base alignment of every array
     (0 = the JIT/native runtime aligns allocations, the default story).
@@ -105,12 +146,8 @@ class FlowRunner:
         self.vectorizer_overrides = dict(vectorizer_overrides or {})
         self.use_bytecode_roundtrip = use_bytecode_roundtrip
         self.engine = resolve_engine(engine)
-        self._scalar_cache: dict = {}
-        self._vec_cache: dict = {}
-        self._split_cache: dict = {}
-        self._native_cache: dict = {}
-        self._compiled_cache: dict = {}
-        self._sizes_cache: dict = {}
+        self._programs = functools.lru_cache(maxsize=MAX_PROGRAMS)(_Program)
+        self._programs_lock = threading.Lock()
 
     def config(self) -> dict:
         """Constructor kwargs reproducing this runner (minus its caches);
@@ -125,53 +162,72 @@ class FlowRunner:
 
     # -- offline stage --------------------------------------------------------
 
-    def scalar_ir(self, instance: KernelInstance) -> Function:
-        key = (instance.name, instance.size)
-        if key not in self._scalar_cache:
-            module = compile_source(instance.source, instance.name)
-            self._scalar_cache[key] = module[instance.entry]
-        return self._scalar_cache[key]
+    def _program(self, entry: str, source: str) -> _Program:
+        with self._programs_lock:
+            return self._programs(entry, source)
 
-    def vectorized_ir(self, instance: KernelInstance) -> Function:
-        """The split-form IR straight out of the offline vectorizer
-        (before the bytecode round-trip)."""
-        key = (instance.name, instance.size)
-        if key not in self._vec_cache:
-            cfg = split_config(**self.vectorizer_overrides)
-            self._vec_cache[key] = vectorize_function(
-                self.scalar_ir(instance), cfg
-            )
-        return self._vec_cache[key]
+    def _ir(self, prog: _Program, form: str,
+            target: Target | None = None) -> Function:
+        """One offline form of ``prog``, built once: ``"scalar"``,
+        ``"vectorized"`` (straight out of the offline vectorizer),
+        ``"split"`` (after the bytecode round trip) or ``"native"`` (the
+        monolithic vectorization for ``target``)."""
+        slot = ("native", target.name) if form == "native" else form
+        return prog.get(slot, lambda: self._build(prog, form, target))
 
-    def split_ir(self, instance: KernelInstance) -> Function:
-        key = (instance.name, instance.size)
-        if key not in self._split_cache:
-            vec = self.vectorized_ir(instance)
+    def _build(self, prog: _Program, form: str, target) -> Function:
+        if form == "scalar":
+            return compile_source(prog.source, prog.entry)[prog.entry]
+        if form == "split":
+            vec = self._ir(prog, "vectorized")
             if self.use_bytecode_roundtrip:
                 vec = decode_function(encode_function(vec))
-            self._split_cache[key] = vec
-        return self._split_cache[key]
-
-    def native_ir(self, instance: KernelInstance, target: Target) -> Function:
-        key = (instance.name, instance.size, target.name)
-        if key not in self._native_cache:
-            overrides = dict(self.vectorizer_overrides)
+            return vec
+        overrides = dict(self.vectorizer_overrides)
+        if form == "vectorized":
+            cfg = split_config(**overrides)
+        else:
             overrides.pop("assume_noalias", None)
             cfg = native_config(target, **overrides)
-            self._native_cache[key] = vectorize_function(
-                self.scalar_ir(instance), cfg
-            )
-        return self._native_cache[key]
+        return vectorize_function(self._ir(prog, "scalar"), cfg)
+
+    def scalar_ir(self, instance: KernelInstance) -> Function:
+        return self._ir(self._program(instance.entry, instance.source),
+                        "scalar")
+
+    def split_ir(self, instance: KernelInstance) -> Function:
+        return self._ir(self._program(instance.entry, instance.source),
+                        "split")
+
+    def native_ir(self, instance: KernelInstance, target: Target) -> Function:
+        return self._ir(self._program(instance.entry, instance.source),
+                        "native", target)
 
     def bytecode_sizes(self, instance: KernelInstance) -> tuple[int, int]:
         """(scalar, vectorized) encoded byte sizes for this kernel."""
-        key = (instance.name, instance.size)
-        if key not in self._sizes_cache:
-            self._sizes_cache[key] = (
-                len(encode_function(self.scalar_ir(instance))),
-                len(encode_function(self.split_ir(instance))),
-            )
-        return self._sizes_cache[key]
+        prog = self._program(instance.entry, instance.source)
+        return prog.get("sizes", lambda: (
+            len(encode_function(self._ir(prog, "scalar"))),
+            len(encode_function(self._ir(prog, "split"))),
+        ))
+
+    def offline(self, entry: str, source: str, flow: str,
+                target: Target) -> tuple[Function, int]:
+        """(IR, canonical CRC) that ``flow`` hands its online compiler on
+        ``target``.  The CRC of the canonical print (positional SSA ids,
+        unlike the encoded stream's gensym counters) is stable across
+        processes: the service's cache identity, which a farm worker
+        re-derives here to refuse a job whose key disagrees."""
+        # Imported here: the service package imports this module.
+        from ..service.cache import canonical_crc
+
+        form = FLOWS[flow][0]
+        prog = self._program(entry, source)
+        ir = self._ir(prog, form, target)
+        slot = ("crc", form, target.name if form == "native" else None)
+        return ir, prog.get(
+            slot, lambda: canonical_crc(print_function(ir).encode())
+        )
 
     # -- online stage ----------------------------------------------------------
 
@@ -187,37 +243,38 @@ class FlowRunner:
         near-zero-duration span, not a missing one.
         """
         form, jit_cls = FLOWS[flow]
-        ir_key = (instance.name, instance.size)
+        prog = self._program(instance.entry, instance.source)
+        memo = prog.memo
         with obs.span("frontend", phase="frontend",
                       kernel=instance.name) as sp:
-            sp.set(cached=ir_key in self._scalar_cache)
-            scalar = self.scalar_ir(instance)
+            sp.set(cached="scalar" in memo)
+            scalar = self._ir(prog, "scalar")
         with obs.span("vectorize", phase="vectorize", form=form) as sp:
             if form == "scalar":
                 sp.set(skipped=True)
                 ir = scalar
             elif form == "split":
-                sp.set(cached=ir_key in self._vec_cache)
-                ir = self.vectorized_ir(instance)
+                sp.set(cached="vectorized" in memo)
+                ir = self._ir(prog, "vectorized")
             else:
-                sp.set(cached=(*ir_key, target.name) in self._native_cache,
+                sp.set(cached=("native", target.name) in memo,
                        mode="native", target=target.name)
-                ir = self.native_ir(instance, target)
+                ir = self._ir(prog, "native", target)
         with obs.span("encode", phase="encode") as sp:
             if form == "split" and self.use_bytecode_roundtrip:
-                sp.set(cached=ir_key in self._split_cache)
-                ir = self.split_ir(instance)
+                sp.set(cached="split" in memo)
+                ir = self._ir(prog, "split")
             else:
                 sp.set(skipped=True)
-        key = (instance.name, instance.size, flow, target.name)
+        slot = ("jit", flow, target.name)
         with obs.span("jit", phase="jit", target=target.name,
                       compiler=jit_cls.name) as sp:
-            ck = self._compiled_cache.get(key)
-            if ck is None:
-                ck = self._compiled_cache[key] = jit_cls().compile(ir, target)
-                sp.set(cached=False, compile_seconds=ck.compile_seconds)
-            else:
+            cached = slot in memo
+            ck = prog.get(slot, lambda: jit_cls().compile(ir, target))
+            if cached:
                 sp.set(cached=True)
+            else:
+                sp.set(cached=False, compile_seconds=ck.compile_seconds)
             if ck.degraded:
                 sp.set(degraded=True, events=[e.cause for e in ck.events])
         return ck
@@ -243,14 +300,16 @@ class FlowRunner:
             target = get_target(target)
         with obs.span("flow", phase="flow", kernel=instance.name,
                       flow=flow, target=target.name) as root:
-            result = self._run(instance, flow, target)
+            ck = self.compiled(instance, flow, target)
+            result = self.execute(instance, ck, flow, target)
             root.set(cycles=result.cycles, checked=result.checked)
         return result
 
-    def _run(
-        self, instance: KernelInstance, flow: str, target: Target
-    ) -> FlowResult:
-        ck = self.compiled(instance, flow, target)
+    def execute(self, instance: KernelInstance, ck: CompiledKernel,
+                flow: str, target: Target) -> FlowResult:
+        """Run ``ck`` on fresh buffers of ``instance`` and check it: the
+        tail of :meth:`run`, shared with the service so a warm-cache
+        response is byte-identical to a cold run."""
         bufs = self.make_buffers(instance)
         result = execute_phase(
             ck, instance.scalar_args, bufs, engine=self.engine

@@ -45,6 +45,7 @@ recorded as a :class:`~repro.jit.materialize.DegradationEvent`:
 
 from __future__ import annotations
 
+import functools
 import random
 import threading
 import time
@@ -52,20 +53,25 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from .. import faults, obs
-from ..api import execute_phase
 from ..errors import classify
 from ..harness.flows import FLOWS, FlowResult, FlowRunner
 from ..harness.parallel import backoff_delay, run_cells
 from ..jit.materialize import DegradationEvent
 from ..kernels import get_kernel
+from ..machine.registry import DEFAULT_ENGINE
 from ..targets import get_target
 from .admission import AdmissionQueue, Deadline, DeadlineError, OverloadError
 from .breaker import CircuitBreaker, CircuitOpenError
-from .cache import CacheKey, KernelCache, canonical_crc, unpack_kernel
+from .cache import CacheKey, KernelCache, unpack_kernel
 from .farm import CompileFarm, CompileJob, FarmError
-from .singleflight import KeyedLocks, SingleFlight
+from .singleflight import SingleFlight
 
 __all__ = ["ServiceRequest", "ServiceResponse", "KernelService"]
+
+#: Most kernel instances (inputs plus numpy reference results) one service
+#: keeps, least recently used out first.  Rebuilding an evicted instance
+#: is deterministic, so the bound costs time, never answers.
+MAX_INSTANCES = 128
 
 
 class _ShardedCounters:
@@ -226,7 +232,7 @@ class KernelService:
         backoff_base: float = 0.005,
         breaker_threshold: int = 3,
         breaker_cooldown: int = 6,
-        engine: str = "threaded",
+        engine: str = DEFAULT_ENGINE,
         check: bool = True,
         seed: int = 0,
     ) -> None:
@@ -243,7 +249,9 @@ class KernelService:
         self.breaker_cooldown = int(breaker_cooldown)
         self._breakers: dict[str, CircuitBreaker] = {}
         self._stale: dict[tuple, FlowResult] = {}
-        self._instances: dict[tuple, object] = {}
+        self._instances = functools.lru_cache(maxsize=MAX_INSTANCES)(
+            lambda kernel, size: get_kernel(kernel).instantiate(size)
+        )
         self._rng = random.Random(seed)
         # -- scoped locking (the lock map; see docs/service.md §7) -----------
         # The old design funnelled every critical section — IR builds,
@@ -251,18 +259,13 @@ class KernelService:
         # global RLock, so the worker pool added zero compile throughput.
         # Each concern now has its own lock, and the expensive work (JIT
         # compilation) is serialized only per CacheKey via single-flight.
+        # The offline stage builds under the runner's per-program locks.
         # (Service counters went further: per-thread shards, no lock at
         # all on the hot path — see _ShardedCounters.)
         self._breakers_lock = threading.Lock()  # self._breakers map
-        self._instances_lock = threading.Lock()  # self._instances map
+        self._instances_lock = threading.Lock()  # self._instances LRU
         self._stale_lock = threading.Lock()     # self._stale map
         self._rng_lock = threading.Lock()       # retry-jitter RNG
-        #: per-(kernel, size, flow, target, force) IR/cache-key builds —
-        #: identical shapes serialize, distinct shapes run in parallel.
-        self._ir_locks = KeyedLocks()
-        #: memoized (CacheKey, ir, jit_cls) per request shape, so the
-        #: warm path never re-prints IR to recompute cache identity.
-        self._keys: dict[tuple, tuple] = {}
         #: per-CacheKey in-flight compile table: concurrent identical
         #: misses share one compile (leader/follower).
         self._singleflight = SingleFlight()
@@ -460,14 +463,10 @@ class KernelService:
             return b
 
     def _instance(self, kernel: str, size: int | None):
-        key = (kernel, size)
+        if size is None:
+            size = get_kernel(kernel).default_size
         with self._instances_lock:
-            inst = self._instances.get(key)
-            if inst is None:
-                inst = self._instances[key] = get_kernel(kernel).instantiate(
-                    size
-                )
-            return inst
+            return self._instances(kernel, size)
 
     def _guarded_serve(self, request: ServiceRequest) -> ServiceResponse:
         """The no-traceback guarantee: anything the pipeline (or a bug in
@@ -639,42 +638,14 @@ class KernelService:
 
     # -- compile path (cache-fronted) ----------------------------------------
 
-    def _cache_key_ir(self, inst, flow, target, force_scalar=False):
-        """(CacheKey, ir, jit_cls) for one request shape.
-
-        Cache identity uses the canonical printed form of the bytecode
-        (positional SSA ids), which is stable across processes, where the
-        raw encoded stream embeds process-global gensym counters.
-
-        Scoped locking: IR construction takes a *per-shape* lock (so two
-        requests for the same shape build it once, while distinct
-        kernels/flows/targets build in parallel), and the finished
-        (CacheKey, ir, jit_cls) triple is memoized — the warm path never
-        re-prints IR just to recompute cache identity.
-        """
-        from ..ir import print_function
-
-        form, jit_cls = FLOWS[flow]
-        shape = (inst.name, inst.size, flow, target.name, bool(force_scalar))
-        hit = self._keys.get(shape)
-        if hit is not None:
-            return hit
-        with self._ir_locks.get(shape):
-            hit = self._keys.get(shape)
-            if hit is not None:
-                return hit
-            if form == "scalar":
-                ir = self.runner.scalar_ir(inst)
-            elif form == "split":
-                ir = self.runner.split_ir(inst)
-            else:
-                ir = self.runner.native_ir(inst, target)
-            canon = print_function(ir).encode()
-            crc = canonical_crc(canon)
-            compiler = jit_cls.name + ("+scalarized" if force_scalar else "")
-            triple = (CacheKey(crc, target.name, compiler), ir, jit_cls)
-            self._keys[shape] = triple
-            return triple
+    def _cache_key(self, inst, flow, target, force_scalar=False):
+        """(CacheKey, ir) for one request shape: the runner's canonical
+        CRC of the IR ``flow`` compiles, plus the target and compiler."""
+        ir, crc = self.runner.offline(inst.entry, inst.source, flow, target)
+        compiler = FLOWS[flow][1].name
+        if force_scalar:
+            compiler += "+scalarized"
+        return CacheKey(crc, target.name, compiler), ir
 
     def evict(self, kernel: str, flow: str, target: str,
               size: int | None = None, force_scalar: bool = False) -> bool:
@@ -687,7 +658,7 @@ class KernelService:
         if self.cache is None:
             return False
         inst = self._instance(kernel, size)
-        key, _ir, _jit = self._cache_key_ir(
+        key, _ir = self._cache_key(
             inst, flow, get_target(target), force_scalar
         )
         return self.cache.evict(key)
@@ -695,6 +666,11 @@ class KernelService:
     def _compiled(self, inst, flow, target, force_scalar=False,
                   deadline=None):
         """(CompiledKernel, from_cache, coalesced) for one request shape.
+
+        The IR and its CacheKey come from the runner's offline stage,
+        which is built once per VaporC program: a new size of a kernel
+        whose source does not embed the size re-runs no frontend,
+        vectorizer or canonical print, and hits the same cache entry.
 
         The compile path is **single-flight**: a persistent-cache miss
         enters the per-CacheKey in-flight table.  The first requester
@@ -719,9 +695,8 @@ class KernelService:
         waiting on a foreign replica's fresh-but-silent marker reclaims
         leadership the same way.
         """
-        key, ir, jit_cls = self._cache_key_ir(
-            inst, flow, target, force_scalar
-        )
+        key, ir = self._cache_key(inst, flow, target, force_scalar)
+        jit_cls = FLOWS[flow][1]
         with obs.span("jit", phase="jit", target=target.name,
                       compiler=jit_cls.name,
                       force_scalar=force_scalar) as sp:
@@ -957,44 +932,9 @@ class KernelService:
         return ck.degraded and _faults.active_plan() is not None
 
     def _execute(self, inst, ck, flow, target) -> FlowResult:
-        """Run a compiled kernel exactly like FlowRunner.run would, so a
-        warm-cache service response is byte-identical to a cold run."""
-        bufs = self.runner.make_buffers(inst)
-        vm_result = execute_phase(
-            ck, inst.scalar_args, bufs, engine=self.runner.engine
-        )
-        checked = False
-        if self.runner.check:
-            self.runner.verify(inst, bufs, vm_result.value)
-            checked = True
-        scalar_bytes, vec_bytes = self._bytecode_sizes(inst)
-        form = FLOWS[flow][0]
-        return FlowResult(
-            kernel=inst.name,
-            flow=flow,
-            target=target.name,
-            cycles=vm_result.cycles,
-            value=vm_result.value,
-            compile_seconds=ck.compile_seconds,
-            bytecode_bytes=scalar_bytes if form == "scalar" else vec_bytes,
-            checked=checked,
-            stats=dict(ck.stats),
-        )
-
-    def _bytecode_sizes(self, inst) -> tuple[int, int]:
-        """Thread-safe (scalar, vectorized) encoded sizes for a kernel.
-
-        Scoped locking: the memoized fast path is a lock-free dict read
-        (entries are immutable once inserted); construction serializes
-        per (kernel, size) — not service-wide — so two distinct kernels
-        size their bytecode in parallel.
-        """
-        key = (inst.name, inst.size)
-        sizes = self.runner._sizes_cache.get(key)
-        if sizes is not None:
-            return sizes
-        with self._ir_locks.get(("sizes",) + key):
-            return self.runner.bytecode_sizes(inst)
+        # A method of its own so a subclass can wrap execution (the
+        # concurrency bench's global-lock baseline does).
+        return self.runner.execute(inst, ck, flow, target)
 
     # -- the degradation cascade ---------------------------------------------
 

@@ -17,11 +17,14 @@ So the leader stops compiling inline and **dispatches**:
 * A job carries the request *shape* (kernel, size, flow, target,
   force_scalar) plus the process-stable
   :class:`~repro.service.cache.CacheKey` the leader computed.  The
-  worker rebuilds the IR from source, **verifies its canonical CRC
-  matches the job's key** (a divergent worker toolchain must fail
-  loudly, never poison the cache), compiles, and ships back the packed
-  VBK1 envelope — the exact bytes the cache stores, so warm responses
-  stay byte-identical to cold ones with no re-serialization.
+  worker renders the kernel's VaporC source for the size and asks its
+  runner's offline stage (:meth:`~repro.harness.flows.FlowRunner.offline`,
+  the same call the leader keyed with, memoized by source) for the IR
+  and its canonical CRC, **verifies the CRC matches the job's key** (a
+  divergent worker toolchain must fail loudly, never poison the cache),
+  compiles, and ships back the packed VBK1 envelope — the exact bytes
+  the cache stores, so warm responses stay byte-identical to cold ones
+  with no re-serialization.
 * Failures come back *classified*: a compile error inside the worker is
   reconstructed in the leader with the same
   :func:`repro.errors.classify` tag (including the ``[injected]``
@@ -55,7 +58,7 @@ from multiprocessing import get_context
 
 from .. import faults, obs
 from ..errors import FaultInjected, ReproError, classify
-from .cache import CacheKey, canonical_crc, pack_kernel
+from .cache import CacheKey, pack_kernel
 
 __all__ = ["CompileJob", "CompileFarm", "FarmError"]
 
@@ -108,7 +111,6 @@ class CompileJob:
 # -- worker-process state ------------------------------------------------------
 
 _W_RUNNERS: dict = {}
-_W_INSTANCES: dict = {}
 
 
 #: how often a farm worker checks that its parent service is alive.
@@ -161,16 +163,6 @@ def _w_runner(runner_kwargs: dict | None):
     return runner
 
 
-def _w_instance(name: str, size):
-    from ..kernels import get_kernel
-
-    key = (name, size)
-    inst = _W_INSTANCES.get(key)
-    if inst is None:
-        inst = _W_INSTANCES[key] = get_kernel(name).instantiate(size)
-    return inst
-
-
 def _run_job(job: CompileJob):
     """Execute one compile job inside a worker process.
 
@@ -180,7 +172,7 @@ def _run_job(job: CompileJob):
     reconstructs an exception that classifies identically.
     """
     from ..harness.flows import FLOWS
-    from ..ir import print_function
+    from ..kernels import get_kernel
     from ..targets import get_target
 
     if job.plan is not None:
@@ -196,17 +188,12 @@ def _run_job(job: CompileJob):
         if isinstance(fault, faults.WorkerStall):
             time.sleep(fault.seconds)
     try:
-        form, jit_cls = FLOWS[job.flow]
-        runner = _w_runner(job.runner_kwargs)
-        inst = _w_instance(job.kernel, job.size)
+        kernel = get_kernel(job.kernel)
+        size = kernel.default_size if job.size is None else job.size
         target = get_target(job.target)
-        if form == "scalar":
-            ir = runner.scalar_ir(inst)
-        elif form == "split":
-            ir = runner.split_ir(inst)
-        else:
-            ir = runner.native_ir(inst, target)
-        crc = canonical_crc(print_function(ir).encode())
+        ir, crc = _w_runner(job.runner_kwargs).offline(
+            kernel.entry, kernel.source_fn(size), job.flow, target
+        )
         if crc != job.key.bytecode_crc:
             raise FarmError(
                 "key-mismatch",
@@ -214,7 +201,9 @@ def _run_job(job: CompileJob):
                 f"0x{crc:08x}, leader keyed 0x{job.key.bytecode_crc:08x} "
                 f"— toolchain skew, refusing to poison the cache",
             )
-        ck = jit_cls().compile(ir, target, force_scalar=job.force_scalar)
+        ck = FLOWS[job.flow][1]().compile(
+            ir, target, force_scalar=job.force_scalar
+        )
         return ("ok", pack_kernel(ck))
     except (KeyboardInterrupt, SystemExit):
         raise

@@ -1,4 +1,4 @@
-"""Single-flight compile coalescing and per-key scoped locks.
+"""Single-flight compile coalescing.
 
 The paper's bargain is that the online stage is *cheap* — linear-time
 materialization per target — but "cheap" still isn't free, and under
@@ -13,12 +13,13 @@ concurrent load two classic serialization bugs eat the worker pool:
   :class:`~repro.jit.compilers.CompiledKernel`.
 * **global critical section** — one service-wide lock around compilation
   means the pool adds zero compile throughput.  The fix is *scoped*
-  locking: :class:`KeyedLocks` hands out one mutex per key so distinct
-  kernels/targets proceed genuinely in parallel and only identical work
-  serializes.
+  locking: a flight serializes only identical compiles, and the offline
+  stage builds under one lock per VaporC program
+  (:class:`~repro.harness.flows.FlowRunner`), so distinct
+  kernels/targets proceed genuinely in parallel.
 
-Both primitives are deliberately tiny, stdlib-only, and deterministic
-(no wall-clock state), so the seeded chaos campaigns stay reproducible.
+The primitive is deliberately tiny, stdlib-only, and deterministic (no
+wall-clock state), so the seeded chaos campaigns stay reproducible.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 import copy
 import threading
 
-__all__ = ["Flight", "SingleFlight", "KeyedLocks"]
+__all__ = ["Flight", "SingleFlight"]
 
 
 def _follower_copy(exc: BaseException) -> BaseException:
@@ -201,29 +202,3 @@ class SingleFlight:
                 "usurped": self.usurped,
                 "inflight": len(self._inflight),
             }
-
-
-class KeyedLocks:
-    """A lazily-populated map of key -> :class:`threading.Lock`.
-
-    Scoped locking for keyed work (IR construction, bytecode sizing):
-    identical keys serialize, distinct keys run in parallel.  Locks are
-    never discarded — the key space here is bounded by (kernel, size,
-    flow, target) shapes, which is exactly the set of artifacts the
-    service caches anyway.
-    """
-
-    def __init__(self) -> None:
-        self._meta = threading.Lock()
-        self._locks: dict = {}
-
-    def get(self, key) -> threading.Lock:
-        with self._meta:
-            lock = self._locks.get(key)
-            if lock is None:
-                lock = self._locks[key] = threading.Lock()
-            return lock
-
-    def __len__(self) -> int:
-        with self._meta:
-            return len(self._locks)

@@ -20,6 +20,23 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
 
 
+@pytest.fixture
+def frontend_calls(monkeypatch) -> list:
+    """Records every call the runner's offline stage makes to the VaporC
+    frontend, for tests that count offline builds."""
+    from repro.harness import flows
+
+    calls: list = []
+    frontend = flows.compile_source
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return frontend(*args, **kwargs)
+
+    monkeypatch.setattr(flows, "compile_source", counting)
+    return calls
+
+
 def compile_one(source: str, name: str):
     """Compile a single-function VaporC snippet and return its IR."""
     from repro.frontend import compile_source

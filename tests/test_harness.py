@@ -1,10 +1,15 @@
 """Tests for the harness itself: flow consistency, runner options, and
 cross-flow numeric agreement."""
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from repro.harness import FLOWS, FlowRunner
+from repro.harness import flows as flows_mod
 from repro.kernels import get_kernel
 
 
@@ -94,3 +99,52 @@ class TestCaching:
         # Matrix sizes are baked into the source, so each size compiles
         # its own bytecode (and must not collide in the cache).
         assert small is not large
+
+    def test_size_free_source_is_one_program(self):
+        runner = FlowRunner()
+        small = runner.split_ir(get_kernel("saxpy_fp").instantiate(64))
+        large = runner.split_ir(get_kernel("saxpy_fp").instantiate(2000))
+        # saxpy takes n at run time: one source, one offline stage.
+        assert small is large
+
+    def test_program_memo_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(flows_mod, "MAX_PROGRAMS", 2)
+        runner = FlowRunner()
+        for n in (8, 12, 16, 20):  # gemm embeds n: four programs
+            runner.scalar_ir(get_kernel("gemm_fp").instantiate(n))
+        assert runner._programs.cache_info().currsize == 2
+
+    def test_concurrent_requests_build_a_program_once(self, frontend_calls,
+                                                      monkeypatch):
+        """Eight threads ask for eight sizes of one new program at once:
+        the per-program lock lets exactly one of them run the frontend."""
+        counting = flows_mod.compile_source
+
+        def slow(*args, **kwargs):
+            time.sleep(0.05)  # hold the build open until every thread asks
+            return counting(*args, **kwargs)
+
+        monkeypatch.setattr(flows_mod, "compile_source", slow)
+        runner = FlowRunner()
+        insts = [get_kernel("saxpy_fp").instantiate(16 + i) for i in range(8)]
+        barrier = threading.Barrier(len(insts))
+        irs = [None] * len(insts)
+
+        def ask(i):
+            barrier.wait(timeout=10)
+            irs[i] = runner.split_ir(insts[i])
+
+        threads = [threading.Thread(target=ask, args=(i,))
+                   for i in range(len(insts))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(frontend_calls) == 1
+        assert all(ir is irs[0] for ir in irs)

@@ -12,6 +12,7 @@ on-disk artifact store).
 
 from __future__ import annotations
 
+import inspect
 import os
 import threading
 
@@ -23,6 +24,7 @@ from repro import faults
 from repro.errors import ReproError, classify
 from repro.harness.flows import FlowRunner
 from repro.kernels import get_kernel
+from repro.machine.registry import DEFAULT_ENGINE
 from repro.service import (
     AdmissionQueue,
     CacheError,
@@ -37,6 +39,7 @@ from repro.service import (
     ServiceRequest,
     atomic_write,
 )
+from repro.service import core as core_mod
 
 SIZE = 16
 FLOW = "split_vec_gcc4cli"
@@ -452,6 +455,44 @@ def test_service_submit_after_close_is_classified(tmp_path):
     resp = svc.submit(_req()).result()
     assert resp.status == "rejected"
     assert resp.events and resp.events[0].cause == "service-closed"
+
+
+def test_service_engine_default_follows_the_registry():
+    """Flipping DEFAULT_ENGINE must move the service with the runner."""
+    def default(cls):
+        return inspect.signature(cls).parameters["engine"].default
+
+    assert default(KernelService) == default(FlowRunner) == DEFAULT_ENGINE
+
+
+def test_service_runs_the_offline_stage_once_per_source(tmp_path,
+                                                        frontend_calls):
+    """saxpy_fp's source does not embed the size: eight new sizes are one
+    program, so the frontend runs once, and every answer still equals a
+    fresh runner's."""
+    sizes = [16, 17, 33, 64, 100, 257, 1000, 2000]
+    with KernelService(cache_dir=str(tmp_path / "c")) as svc:
+        responses = [svc.handle(_req(size=n)) for n in sizes]
+    assert len(frontend_calls) == 1
+    for n, resp in zip(sizes, responses):
+        assert resp.status == "ok"
+        fresh = FlowRunner().run(get_kernel("saxpy_fp").instantiate(n),
+                                 FLOW, "sse")
+        assert (resp.result.value, resp.result.cycles,
+                resp.result.bytecode_bytes) == \
+            (fresh.value, fresh.cycles, fresh.bytecode_bytes)
+
+
+def test_service_instance_memo_is_bounded(tmp_path, monkeypatch):
+    monkeypatch.setattr(core_mod, "MAX_INSTANCES", 4)
+    with KernelService(cache_dir=str(tmp_path / "c")) as svc:
+        for n in range(16, 26):
+            assert svc.handle(_req(size=n)).ok
+            assert svc._instances.cache_info().currsize <= 4
+        # size=None is the kernel's default size: one instance, one entry.
+        default = get_kernel("saxpy_fp").default_size
+        assert svc._instance("saxpy_fp", None) is \
+            svc._instance("saxpy_fp", default)
 
 
 # -- KernelService: resilience ------------------------------------------------

@@ -31,7 +31,7 @@ from repro import obs
 from repro.harness import flows as flows_mod
 from repro.jit import OptimizingJIT
 from repro.service import KernelService, ServiceRequest
-from repro.service.singleflight import Flight, KeyedLocks, SingleFlight
+from repro.service.singleflight import Flight, SingleFlight
 
 SIZE = 16
 FLOW = "split_vec_gcc4cli"
@@ -85,7 +85,7 @@ def _gated_jit():
     return GatedJIT
 
 
-# -- SingleFlight / KeyedLocks primitives -------------------------------------
+# -- SingleFlight primitives --------------------------------------------------
 
 
 def test_singleflight_leader_then_fresh_flight():
@@ -184,17 +184,6 @@ def test_flight_outcome_raises_a_per_follower_copy():
         assert e.__cause__ is original
     # The leader's traceback was never clobbered by a follower re-raise.
     assert original.__traceback__ is leader_tb
-
-
-def test_keyed_locks_distinct_keys_do_not_block():
-    locks = KeyedLocks()
-    a, b = locks.get(("x",)), locks.get(("y",))
-    assert a is not b
-    assert locks.get(("x",)) is a  # stable per key
-    with a:
-        assert b.acquire(timeout=1)  # distinct key unaffected
-        b.release()
-    assert len(locks) == 2
 
 
 # -- single-flight through the service ----------------------------------------

@@ -19,7 +19,7 @@ import time
 import pytest
 
 from repro import faults
-from repro.harness.flows import FlowRunner
+from repro.harness.flows import FLOWS, FlowRunner
 from repro.kernels import get_kernel
 from repro.service import (
     CacheError,
@@ -210,8 +210,9 @@ def test_follower_usurps_wedged_inprocess_leader(tmp_path):
 
 def _key_for(svc, kernel="saxpy_fp", target="sse"):
     inst = get_kernel(kernel).instantiate(SIZE)
-    key, _ir, _jit = svc._cache_key_ir(inst, FLOW, get_target(target))
-    return key
+    _ir, crc = svc.runner.offline(inst.entry, inst.source, FLOW,
+                                  get_target(target))
+    return CacheKey(crc, target, FLOWS[FLOW][1].name)
 
 
 def test_replica_waits_for_fresh_marker_and_reads_entry(tmp_path):
