@@ -13,7 +13,8 @@ This file measures exactly that, with the same interleaved best-of-N
 protocol as ``bench_vm_throughput.py`` (alternating samples so host
 contention hits both paths alike):
 
-* **raw** — ``ck.threaded().run(...)``: the uninstrumented engine.
+* **raw** — ``ck.translated("threaded").run(...)``: the uninstrumented
+  engine.
 * **disabled** — ``api.execute_phase(...)`` with no recorder installed:
   the NULL_SPAN path.  Budgeted **<5%** over raw; CI runs ``--quick
   --max-disabled-overhead 5`` and fails the build on a breach.
@@ -86,7 +87,7 @@ def measure(kernel_names=BENCH_KERNELS, size=None, repeats=5):
         kernel = get_kernel(name)
         inst = kernel.instantiate(_bench_size(kernel, size))
         ck = runner.compiled(inst, FLOW, target)
-        code = ck.threaded()  # translate once, outside the timing
+        code = ck.translated("threaded")  # once, outside the timing
 
         def raw():
             return code.run(inst.scalar_args, runner.make_buffers(inst))

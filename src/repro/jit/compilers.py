@@ -65,7 +65,9 @@ class CompiledKernel:
     events: list = field(default_factory=list)
     #: lazily-populated per-engine translations, keyed by
     #: ``(engine, count_ops)``; see :meth:`translated`.
-    _threaded: dict = field(default_factory=dict, repr=False, compare=False)
+    _translations: dict = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     def translated(self, engine: str, count_ops: bool = False):
         """This kernel translated for ``engine`` (registry lookup).
@@ -74,11 +76,13 @@ class CompiledKernel:
         cached on the compiled kernel, so repeated executions (sweeps,
         repeated benchmark runs) pay translation exactly once; the
         wall-clock cost is recorded in the ``vm.translate_seconds``
-        metric.  Raises ``ValueError`` for engines without a
-        ``translate`` callable (e.g. the reference interpreter).
+        metric.  The translation holds no run state, so every caller
+        sharing this kernel may run it at once.  Raises ``ValueError``
+        for engines without a ``translate`` callable (e.g. the reference
+        interpreter).
         """
         key = (engine, count_ops)
-        code = self._threaded.get(key)
+        code = self._translations.get(key)
         if code is None:
             from ..machine.registry import get_engine
 
@@ -90,13 +94,8 @@ class CompiledKernel:
             t0 = time.perf_counter()
             code = eng.translate(self.mfunc, self.target, count_ops)
             obs.observe("vm.translate_seconds", time.perf_counter() - t0)
-            self._threaded[key] = code
+            self._translations[key] = code
         return code
-
-    def threaded(self, count_ops: bool = False):
-        """The machine code pre-decoded for the threaded engine
-        (shorthand for ``translated("threaded", count_ops)``)."""
-        return self.translated("threaded", count_ops)
 
 
 class _BaseCompiler:

@@ -17,7 +17,7 @@ from .registry import (
     register_engine,
     unregister_engine,
 )
-from .threaded import ThreadedCode, ThreadedVM, translate
+from .threaded import ThreadedCode, translate
 from .vm import VM, RunResult, VMError
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "VM",
     "VMError",
     "RunResult",
-    "ThreadedVM",
     "ThreadedCode",
     "CodegenCode",
     "translate",

@@ -157,12 +157,10 @@ class _Emitter:
     values and traps are identical by construction.
     """
 
-    def __init__(self, mfunc: MFunction, target: Target, count_ops: bool,
-                 cells: list):
+    def __init__(self, mfunc: MFunction, target: Target, count_ops: bool):
         self.mfunc = mfunc
         self.target = target
         self.count_ops = count_ops
-        self.cells = cells                       # [ [buf] ] per array
         self.vs = target.vector_size
         self.names = _Ns()
         self._slot_of: dict[int, int] = {}
@@ -575,6 +573,7 @@ class _Emitter:
             w.w(f"_w{i} = _b{i}._raw")
             w.w(f"_g{i} = _b{i}._base")
             w.w(f"_L{i} = _w{i}.shape[0]")
+        w.w(f"_bufs = ({''.join(b + ', ' for b in bufs)})")
         w.w("_cy = 0.0")
         w.w("_n = 0")
 
@@ -634,7 +633,7 @@ class _Emitter:
             w.w("try:")
             w.w(
                 _INDENT + f"_t = {pname}.attempt(({', '.join(in_regs)},), "
-                "_sp, _n, _maxi)"
+                "_sp, _n, _maxi, _bufs)"
             )
             w.w("except NameError:")
             w.w(_INDENT + "_t = None")
@@ -857,7 +856,6 @@ class _Emitter:
             ivdt=ivdt,
             in_slots=[s for s, _ in pairs],
             in_ids=[rid for _, rid in pairs],
-            cells=self.cells,
             arr_index=self._arr_index,
             vs=self.vs,
             per_iter_count=hc + bc,
@@ -893,10 +891,12 @@ class _Bail(Exception):
 
 
 class _WalkState:
-    """Per-attempt scratch: the batch width ``k`` and a lazy iota."""
+    """Per-attempt scratch: the batch width ``k``, the run's array
+    buffers (in declaration order) and a lazy iota."""
 
-    def __init__(self, k: int):
+    def __init__(self, k: int, bufs: tuple):
         self.k = k
+        self.bufs = bufs
         self._idx = None
 
     def idx(self):
@@ -984,10 +984,19 @@ class _BatchPlan:
     budget); the final iteration and the loop exit run through the normal
     generated blocks, which rematerializes every live register and spill
     slot bit-identically.
+
+    A plan holds no run state: live values, the spill dict and the array
+    buffers arrive with each :meth:`attempt`, so runs on several threads
+    never see each other's memory.  Only two fields change after
+    translation.  ``batches`` counts successful batches, a statistic
+    that concurrent runs may undercount.  ``dead`` is sticky: once a run's own walk proves the loop
+    unbatchable (a structural bail or an unexpected error), later runs
+    skip the attempt.  It never changes a result, only whether the batch
+    path is tried.
     """
 
     def __init__(self, *, body, iv_id, iv_slot, bound_id, step_src,
-                 cmp_kind, ivdt, in_slots, in_ids, cells, arr_index, vs,
+                 cmp_kind, ivdt, in_slots, in_ids, arr_index, vs,
                  per_iter_count, per_iter_cycles):
         self.body = body
         self.iv_id = iv_id
@@ -1001,7 +1010,6 @@ class _BatchPlan:
         self._pos = {rid: i for i, rid in enumerate(in_ids)}
         self.iv_pos = self._pos[iv_id]
         self.bound_pos = self._pos[bound_id]
-        self.cells = cells
         self.arr_index = arr_index
         self.vs = vs
         self.per_iter_count = per_iter_count
@@ -1014,18 +1022,19 @@ class _BatchPlan:
 
     # -- entry point ----------------------------------------------------
 
-    def attempt(self, vals, sp, executed, maxi):
+    def attempt(self, vals, sp, executed, maxi, bufs):
         """Try one batch; ``(new_iv, d_count, d_cycles, k)`` or None.
 
         ``vals`` holds the live values of ``in_slots`` in order; ``sp``
-        is the spill dict.  Never raises: any bail (or unexpected walk
-        error) returns None before memory was touched, and the caller
-        falls through to normal execution.
+        is the spill dict; ``bufs`` the run's array buffers.  Never
+        raises: any bail (or unexpected walk error) returns None before
+        memory was touched, and the caller falls through to normal
+        execution.
         """
         if self.dead:
             return None
         try:
-            return self._attempt(vals, sp, executed, maxi)
+            return self._attempt(vals, sp, executed, maxi, bufs)
         except _Bail as bail:
             if bail.dead:
                 self.dead = True
@@ -1034,7 +1043,7 @@ class _BatchPlan:
             self.dead = True
             return None
 
-    def _attempt(self, vals, sp, executed, maxi):
+    def _attempt(self, vals, sp, executed, maxi, bufs):
         iv0 = vals[self.iv_pos]
         bound = vals[self.bound_pos]
         if not isinstance(iv0, (int, np.integer)):
@@ -1059,7 +1068,7 @@ class _BatchPlan:
                 and self._iv_lo <= hi <= self._iv_hi):
             raise _Bail()
 
-        loads, stores = self._walk(vals, sp, iv0, step, k)
+        loads, stores = self._walk(vals, sp, iv0, step, k, bufs)
         self._check_mem(loads, stores, k)
         self._commit(stores, k)
         self.batches += 1
@@ -1109,7 +1118,7 @@ class _BatchPlan:
 
     # -- abstract interpretation over the body --------------------------
 
-    def _walk(self, vals, sp, iv0, step, k):
+    def _walk(self, vals, sp, iv0, step, k, bufs):
         env = {}
         for rid, pos in self._pos.items():
             env[rid] = ("i", vals[pos])
@@ -1117,16 +1126,13 @@ class _BatchPlan:
         wsp: dict = {}
         loads: list = []
         stores: list = []
-        st = _WalkState(k)
+        st = _WalkState(k, bufs)
         for pos, ins in enumerate(self.body):
             self._walk_ins(ins, pos, env, wsp, sp, loads, stores, st)
         return loads, stores
 
-    def _buf(self, name):
-        buf = self.cells[self.arr_index[name]][0]
-        if buf is None:
-            raise _Bail()
-        return buf
+    def _buf(self, name, st):
+        return st.bufs[self.arr_index[name]]
 
     @staticmethod
     def _addr(node):
@@ -1348,7 +1354,7 @@ class _BatchPlan:
         if op == "load":
             dt = imm["type"].numpy_dtype
             width = dt.itemsize
-            buf = self._buf(imm["array"])
+            buf = self._buf(imm["array"], st)
             base, coef = self._addr(env[ins.srcs[0].id])
             lo = buf._base + base
             raw = buf._raw
@@ -1369,7 +1375,7 @@ class _BatchPlan:
         if op in ("vload_a", "vload_u"):
             dt = imm["elem"].numpy_dtype
             nb_ = dt.itemsize * imm["lanes"]
-            buf = self._buf(imm["array"])
+            buf = self._buf(imm["array"], st)
             base, coef = self._addr(env[ins.srcs[0].id])
             lo = buf._base + base
             raw = buf._raw
@@ -1398,7 +1404,7 @@ class _BatchPlan:
         if op == "store":
             dt = imm["type"].numpy_dtype
             width = dt.itemsize
-            buf = self._buf(imm["array"])
+            buf = self._buf(imm["array"], st)
             base, coef = self._addr(env[ins.srcs[0].id])
             lo = buf._base + base
             raw = buf._raw
@@ -1413,7 +1419,7 @@ class _BatchPlan:
             return
 
         if op in ("vstore_a", "vstore_u"):
-            buf = self._buf(imm["array"])
+            buf = self._buf(imm["array"], st)
             base, coef = self._addr(env[ins.srcs[0].id])
             lo = buf._base + base
             raw = buf._raw
@@ -1456,14 +1462,14 @@ class _BatchPlan:
             return
 
         if op == "arr_overlap":
-            b1 = self._buf(imm["a1"])
-            b2 = self._buf(imm["a2"])
+            b1 = self._buf(imm["a1"], st)
+            b2 = self._buf(imm["a2"], st)
             env[ins.dst.id] = (
                 "i", _I8_ONE if b1._raw is b2._raw else _I8_ZERO
             )
             return
         if op == "arr_aligned":
-            buf = self._buf(imm["array"])
+            buf = self._buf(imm["array"], st)
             env[ins.dst.id] = (
                 "i",
                 _I8_ONE if buf.address_of(0) % imm["align"] == 0
@@ -1622,8 +1628,10 @@ class CodegenCode:
     ``source`` holds the deterministic generated module text (the
     cross-process determinism test hashes it); :meth:`run` mirrors
     :meth:`ThreadedCode.run <repro.machine.threaded.ThreadedCode.run>`
-    argument-for-argument.  Like the threaded engine, an instance is
-    stateful (array cells) and not safe for concurrent ``run`` calls.
+    argument-for-argument.  Like the threaded engine, an instance holds
+    no run state: buffers, live values and a fresh spill dict are
+    arguments of each ``_kernel`` call, so one translation may run from
+    several threads at once.
     """
 
     def __init__(self, mfunc: MFunction, target: Target,
@@ -1631,8 +1639,7 @@ class CodegenCode:
         self.mfunc = mfunc
         self.target = target
         self.count_ops = count_ops
-        self._cells: list = [[None] for _ in mfunc.arrays]
-        emitter = _Emitter(mfunc, target, count_ops, self._cells)
+        emitter = _Emitter(mfunc, target, count_ops)
         self.source, ns = emitter.build()
         self.plans = emitter.plans
         self._block_op_counts = emitter.block_op_counts
@@ -1651,15 +1658,13 @@ class CodegenCode:
         """Execute; bit-identical to :meth:`repro.machine.vm.VM.run`."""
         scalar_args = scalar_args or {}
         arrays = arrays or {}
-        mfunc = self.mfunc
         bufs = []
-        for i, slot in enumerate(mfunc.arrays):
+        for slot in self.mfunc.arrays:
             buf = arrays.get(slot.name)
             if buf is None:
                 raise VMError(
                     f"array parameter {slot.name!r} not bound"
                 )
-            self._cells[i][0] = buf
             bufs.append(buf)
         vals = []
         for name, conv in self._param_convs:

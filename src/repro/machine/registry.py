@@ -40,6 +40,14 @@ The engine contract
     ``vm.translate_seconds`` metric.  The returned object must expose
     ``run(scalar_args, arrays, max_instructions=...) -> RunResult``.
 
+A translation must be safe to run from several threads at once.  One
+translated kernel serves every caller holding the compiled kernel
+(single-flight followers receive the leader's), so a run keeps its
+buffers, spill slots and return value in its own call, never on the
+translation.  ``tests/test_threaded_vm.py::
+test_shared_translation_is_reentrant`` runs one shared kernel from four
+threads on every registered engine and enforces it.
+
 Names are looked up at call time, so registration order never matters;
 the built-in engines below register lazily (importing this module does
 not import numpy-heavy engine modules until an engine is actually used).
@@ -47,7 +55,8 @@ not import numpy-heavy engine modules until an engine is actually used).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 __all__ = [
@@ -135,9 +144,10 @@ def engine_names() -> tuple[str, ...]:
 # light; the first *use* of an engine pays its module import.
 
 
-def _run_threaded(ck, scalar_args, arrays, *, count_ops=False,
-                  max_instructions=None):
-    code = ck.translated("threaded", count_ops=count_ops)
+def _run_translated(engine, ck, scalar_args, arrays, *, count_ops=False,
+                    max_instructions=None):
+    """``run`` of every engine with a ``translate`` step."""
+    code = ck.translated(engine, count_ops=count_ops)
     if max_instructions is None:
         return code.run(scalar_args, arrays)
     return code.run(scalar_args, arrays, max_instructions)
@@ -147,14 +157,6 @@ def _translate_threaded(mfunc, target, count_ops=False):
     from .threaded import translate
 
     return translate(mfunc, target, count_ops)
-
-
-def _run_codegen(ck, scalar_args, arrays, *, count_ops=False,
-                 max_instructions=None):
-    code = ck.translated("codegen", count_ops=count_ops)
-    if max_instructions is None:
-        return code.run(scalar_args, arrays)
-    return code.run(scalar_args, arrays, max_instructions)
 
 
 def _translate_codegen(mfunc, target, count_ops=False):
@@ -177,13 +179,13 @@ def _run_reference(ck, scalar_args, arrays, *, count_ops=False,
 register_engine(
     "threaded",
     translate=_translate_threaded,
-    run=_run_threaded,
+    run=partial(_run_translated, "threaded"),
     description="pre-decoded closure dispatch, block-level accounting",
 )
 register_engine(
     "codegen",
     translate=_translate_codegen,
-    run=_run_codegen,
+    run=partial(_run_translated, "codegen"),
     description="MIR->Python superinstruction blocks + batched idioms",
 )
 register_engine(

@@ -9,10 +9,11 @@ removes all of it with a **one-time translation pass**:
 
 * every :class:`~repro.machine.mir.MInstr` becomes one specialized Python
   closure with its immediates (dtypes, constants, lane counts, addressing
-  scale/offset, array bindings) captured in the closure environment —
+  scale/offset, slot indices) captured in the closure environment —
   "threaded code" in the Forth/direct-threading sense;
-* virtual register ids are mapped to dense list slots, so a register
-  access is one ``list`` index instead of a dict hash;
+* virtual registers, array buffers, spill slots and the return value are
+  mapped to dense slots of one per-run ``regs`` list, so an access is one
+  ``list`` index instead of a dict hash;
 * label targets are resolved to basic-block indices at translate time, so
   a branch is an index assignment, not a label-table lookup;
 * instructions are grouped into **basic blocks** whose cycle cost,
@@ -39,10 +40,6 @@ Cycle parity with the reference interpreter is guaranteed by construction:
 
 ``tests/test_threaded_vm.py`` differential-tests the two engines across
 the full kernel suite x all targets x all online compilers.
-
-A :class:`ThreadedCode` object is stateful (array cells, spill store) and
-therefore not thread-safe; the parallel experiment harness parallelizes
-across *processes*, which is safe.
 """
 
 from __future__ import annotations
@@ -72,7 +69,7 @@ from .vm import (
     VMError,
 )
 
-__all__ = ["ThreadedCode", "ThreadedVM", "translate"]
+__all__ = ["ThreadedCode", "translate"]
 
 #: branch-predicate comparisons; ``a < b`` on numpy scalars dispatches to
 #: the same ufunc as ``np.less`` and is substantially cheaper to call.
@@ -109,17 +106,21 @@ class _Block:
 
 
 class ThreadedCode:
-    """An :class:`MFunction` translated to threaded code for one target."""
+    """An :class:`MFunction` translated to threaded code for one target.
+
+    Immutable once built: everything a run writes lives in the ``regs``
+    list that :meth:`run` allocates, so one translation may run from
+    several threads at once.
+    """
 
     def __init__(self, mfunc: MFunction, target: Target,
                  count_ops: bool = False) -> None:
         self.mfunc = mfunc
         self.target = target
         self.count_ops = count_ops
-        self._slot_of: dict[int, int] = {}
-        self._cells: dict[str, list] = {}
-        self._spills: dict[int, object] = {}
-        self._retbox: list = [None]
+        self._slot_of: dict[object, int] = {}
+        self._ret = self._slot("ret")
+        self._array_binds: list[tuple[int, str]] = []
         self._param_binds: list[tuple[int, object, str]] = []
         self._blocks: list[_Block] = []
         self._build()
@@ -130,26 +131,30 @@ class ThreadedCode:
 
     # -- translation --------------------------------------------------------
 
-    def _slot(self, reg) -> int:
-        s = self._slot_of.get(reg.id)
+    def _slot(self, key) -> int:
+        """Dense ``regs`` index for ``key``: a register id (int), an
+        ``("array", name)`` buffer, a ``("spill", k)`` slot, or ``"ret"``."""
+        s = self._slot_of.get(key)
         if s is None:
-            s = self._slot_of[reg.id] = len(self._slot_of)
+            s = self._slot_of[key] = len(self._slot_of)
         return s
 
-    def _cell(self, name: str) -> list:
-        cell = self._cells.get(name)
-        if cell is None:
-            cell = self._cells[name] = [None]
-        return cell
+    def _array(self, name: str) -> int:
+        key = ("array", name)
+        s = self._slot_of.get(key)
+        if s is None:
+            s = self._slot(key)
+            self._array_binds.append((s, name))
+        return s
 
     def _build(self) -> None:
         mfunc = self.mfunc
         for name, type_, reg in mfunc.scalar_params:
             self._param_binds.append(
-                (self._slot(reg), type_.numpy_dtype.type, name)
+                (self._slot(reg.id), type_.numpy_dtype.type, name)
             )
         for slot in mfunc.arrays:
-            self._cell(slot.name)
+            self._array(slot.name)
 
         instrs = mfunc.instrs
         n = len(instrs)
@@ -204,22 +209,16 @@ class ThreadedCode:
         if op == "br":
             return _const_next(block_at[labels[ins.imm["label"]]])
         if op == "ret":
-            retbox = self._retbox
-            if ins.srcs:
-                s = self._slot(ins.srcs[0])
+            if not ins.srcs:
+                return _const_next(-1)  # the "ret" slot stays None
 
-                def nxt(regs, retbox=retbox, s=s):
-                    retbox[0] = regs[s]
-                    return -1
-            else:
-
-                def nxt(regs, retbox=retbox):
-                    retbox[0] = None
-                    return -1
+            def nxt(regs, r=self._ret, s=self._slot(ins.srcs[0].id)):
+                regs[r] = regs[s]
+                return -1
             return nxt
         tk = block_at[labels[ins.imm["label"]]]
         fk = bi + 1 if e < n else -1
-        s = self._slot(ins.srcs[0])
+        s = self._slot(ins.srcs[0].id)
         if op == "brtrue":
 
             def nxt(regs, s=s, tk=tk, fk=fk):
@@ -235,8 +234,8 @@ class ThreadedCode:
         op = ins.op
         imm = ins.imm
         slot = self._slot
-        d = slot(ins.dst) if ins.dst is not None else None
-        ss = [slot(r) for r in ins.srcs]
+        d = slot(ins.dst.id) if ins.dst is not None else None
+        ss = [slot(r.id) for r in ins.srcs]
         vs = self.target.vector_size
 
         if op == "const":
@@ -246,9 +245,16 @@ class ThreadedCode:
                 regs[d] = v
             return step
 
-        if op == "mov":
+        if op in ("mov", "spill_st", "spill_ld"):
+            # A spill slot is one more regs slot, so spill code is a move
+            # (the allocator stores every spill slot before it loads it).
+            s = ss[0] if ss else None
+            if op == "spill_st":
+                d = slot(("spill", imm["slot"]))
+            elif op == "spill_ld":
+                s = slot(("spill", imm["slot"]))
 
-            def step(regs, d=d, s=ss[0]):
+            def step(regs, d=d, s=s):
                 regs[d] = regs[s]
             return step
 
@@ -363,57 +369,41 @@ class ThreadedCode:
 
         if op == "load":
             name = imm["array"]
-            cell = self._cell(name)
+            a = self._array(name)
             dt = imm["type"].numpy_dtype
 
-            def step(regs, d=d, s=ss[0], cell=cell, dt=dt, name=name):
+            def step(regs, d=d, s=ss[0], a=a, dt=dt, name=name):
                 if faults.mem_hook is not None:
                     faults.mem_hook("load", name)
-                regs[d] = cell[0].load_scalar(int(regs[s]), dt)
+                regs[d] = regs[a].load_scalar(int(regs[s]), dt)
             return step
 
         if op == "store":
             name = imm["array"]
-            cell = self._cell(name)
+            a = self._array(name)
             dt = imm["type"].numpy_dtype
 
-            def step(regs, s0=ss[0], s1=ss[1], cell=cell, dt=dt, name=name):
+            def step(regs, s0=ss[0], s1=ss[1], a=a, dt=dt, name=name):
                 if faults.mem_hook is not None:
                     faults.mem_hook("store", name)
-                cell[0].store_scalar(int(regs[s0]), regs[s1], dt)
-            return step
-
-        if op == "spill_st":
-            sp = self._spills
-            k = imm["slot"]
-
-            def step(regs, s=ss[0], sp=sp, k=k):
-                sp[k] = regs[s]
-            return step
-
-        if op == "spill_ld":
-            sp = self._spills
-            k = imm["slot"]
-
-            def step(regs, d=d, sp=sp, k=k):
-                regs[d] = sp[k]
+                regs[a].store_scalar(int(regs[s0]), regs[s1], dt)
             return step
 
         if op == "arr_overlap":
-            c1 = self._cell(imm["a1"])
-            c2 = self._cell(imm["a2"])
+            a1 = self._array(imm["a1"])
+            a2 = self._array(imm["a2"])
 
-            def step(regs, d=d, c1=c1, c2=c2):
-                regs[d] = _I8_ONE if c1[0].overlaps(c2[0]) else _I8_ZERO
+            def step(regs, d=d, a1=a1, a2=a2):
+                regs[d] = _I8_ONE if regs[a1].overlaps(regs[a2]) else _I8_ZERO
             return step
 
         if op == "arr_aligned":
-            cell = self._cell(imm["array"])
+            a = self._array(imm["array"])
             align = imm["align"]
 
-            def step(regs, d=d, cell=cell, align=align):
+            def step(regs, d=d, a=a, align=align):
                 regs[d] = (
-                    _I8_ONE if cell[0].address_of(0) % align == 0
+                    _I8_ONE if regs[a].address_of(0) % align == 0
                     else _I8_ZERO
                 )
             return step
@@ -452,7 +442,7 @@ class ThreadedCode:
 
         if op in ("vload_a", "vload_u", "vload_fa"):
             name = imm["array"]
-            cell = self._cell(name)
+            a = self._array(name)
             dt = imm["elem"].numpy_dtype
             lanes = imm["lanes"]
             # These closures inline ArrayBuffer.load_vector (the engines'
@@ -462,11 +452,11 @@ class ThreadedCode:
             nb = dt.itemsize * lanes
             if op == "vload_a":
 
-                def step(regs, d=d, s=ss[0], cell=cell, dt=dt, nb=nb,
+                def step(regs, d=d, s=ss[0], a=a, dt=dt, nb=nb,
                          vs=vs, name=name):
                     if faults.mem_hook is not None:
                         faults.mem_hook("vload_a", name)
-                    buf = cell[0]
+                    buf = regs[a]
                     off = int(regs[s])
                     start = buf._base + off
                     if start % vs != 0:
@@ -485,11 +475,11 @@ class ThreadedCode:
                     regs[d] = raw[start : start + nb].view(dt).copy()
             elif op == "vload_fa":
 
-                def step(regs, d=d, s=ss[0], cell=cell, dt=dt, nb=nb,
+                def step(regs, d=d, s=ss[0], a=a, dt=dt, nb=nb,
                          vs=vs, name=name):
                     if faults.mem_hook is not None:
                         faults.mem_hook("vload_fa", name)
-                    buf = cell[0]
+                    buf = regs[a]
                     off = int(regs[s])
                     off -= (buf._base + off) % vs
                     start = buf._base + off
@@ -503,11 +493,11 @@ class ThreadedCode:
                     regs[d] = raw[start : start + nb].view(dt).copy()
             else:
 
-                def step(regs, d=d, s=ss[0], cell=cell, dt=dt, nb=nb,
+                def step(regs, d=d, s=ss[0], a=a, dt=dt, nb=nb,
                          name=name):
                     if faults.mem_hook is not None:
                         faults.mem_hook("vload_u", name)
-                    buf = cell[0]
+                    buf = regs[a]
                     off = int(regs[s])
                     start = buf._base + off
                     raw = buf._raw
@@ -522,15 +512,14 @@ class ThreadedCode:
 
         if op in ("vstore_a", "vstore_u"):
             name = imm["array"]
-            cell = self._cell(name)
+            a = self._array(name)
             # Inlined ArrayBuffer.store_vector (same messages, same order).
             if op == "vstore_a":
 
-                def step(regs, s0=ss[0], s1=ss[1], cell=cell, vs=vs,
-                         name=name):
+                def step(regs, s0=ss[0], s1=ss[1], a=a, vs=vs, name=name):
                     if faults.mem_hook is not None:
                         faults.mem_hook("vstore_a", name)
-                    buf = cell[0]
+                    buf = regs[a]
                     off = int(regs[s0])
                     start = buf._base + off
                     if start % vs != 0:
@@ -551,10 +540,10 @@ class ThreadedCode:
                     dst[start : start + raw.size] = raw
             else:
 
-                def step(regs, s0=ss[0], s1=ss[1], cell=cell, name=name):
+                def step(regs, s0=ss[0], s1=ss[1], a=a, name=name):
                     if faults.mem_hook is not None:
                         faults.mem_hook("vstore_u", name)
-                    buf = cell[0]
+                    buf = regs[a]
                     off = int(regs[s0])
                     start = buf._base + off
                     values = regs[s1]
@@ -571,10 +560,10 @@ class ThreadedCode:
             return step
 
         if op == "lvsr":
-            cell = self._cell(imm["array"])
+            a = self._array(imm["array"])
 
-            def step(regs, d=d, s=ss[0], cell=cell, vs=vs):
-                regs[d] = np.int64(cell[0].address_of(int(regs[s])) % vs)
+            def step(regs, d=d, s=ss[0], a=a, vs=vs):
+                regs[d] = np.int64(regs[a].address_of(int(regs[s])) % vs)
             return step
 
         if op == "vperm":
@@ -756,20 +745,16 @@ class ThreadedCode:
         """Execute the translated code; mirrors :meth:`VM.run` exactly."""
         scalar_args = scalar_args or {}
         arrays = arrays or {}
-        mfunc = self.mfunc
-        for slot in mfunc.arrays:
+        for slot in self.mfunc.arrays:
             if slot.name not in arrays:
                 raise VMError(f"array parameter {slot.name!r} not bound")
-        for name, cell in self._cells.items():
-            cell[0] = arrays.get(name)
         regs: list = [None] * len(self._slot_of)
+        for slot_i, name in self._array_binds:
+            regs[slot_i] = arrays.get(name)
         for slot_i, conv, name in self._param_binds:
             if name not in scalar_args:
                 raise VMError(f"scalar parameter {name!r} not bound")
             regs[slot_i] = conv(scalar_args[name])
-        self._spills.clear()
-        retbox = self._retbox
-        retbox[0] = None
 
         blocks = self._blocks
         # (count, cycles, steps, next) tuples: tuple unpacking in the hot
@@ -811,7 +796,8 @@ class ThreadedCode:
                         f(regs)
                     bi = nextf(regs)
         return RunResult(
-            retbox[0], cycles, executed, counts if counts is not None else {}
+            regs[self._ret], cycles, executed,
+            counts if counts is not None else {},
         )
 
     def _replay_overrun(self, block: _Block, regs: list, executed: int,
@@ -837,34 +823,3 @@ def translate(mfunc: MFunction, target: Target,
     """Translate ``mfunc`` into threaded code for ``target``."""
     return ThreadedCode(mfunc, target, count_ops)
 
-
-class ThreadedVM:
-    """Drop-in replacement for :class:`~repro.machine.vm.VM` backed by the
-    threaded-code engine, with a per-instance translation cache keyed by
-    ``(id(mfunc), target, count_ops)``."""
-
-    def __init__(self, target: Target, max_instructions: int = 500_000_000):
-        self.target = target
-        self.max_instructions = max_instructions
-        self._cache: dict[tuple, ThreadedCode] = {}
-
-    def translation(self, mfunc: MFunction,
-                    count_ops: bool = False) -> ThreadedCode:
-        key = (id(mfunc), self.target.name, count_ops)
-        hit = self._cache.get(key)
-        if hit is not None and hit.mfunc is mfunc:
-            return hit
-        code = ThreadedCode(mfunc, self.target, count_ops)
-        self._cache[key] = code
-        return code
-
-    def run(
-        self,
-        mfunc: MFunction,
-        scalar_args: dict[str, object] | None = None,
-        arrays: dict[str, ArrayBuffer] | None = None,
-        count_ops: bool = False,
-    ) -> RunResult:
-        return self.translation(mfunc, count_ops).run(
-            scalar_args, arrays, self.max_instructions
-        )

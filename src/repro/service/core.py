@@ -70,7 +70,9 @@ __all__ = ["ServiceRequest", "ServiceResponse", "KernelService"]
 
 #: Most kernel instances (inputs plus numpy reference results) one service
 #: keeps, least recently used out first.  Rebuilding an evicted instance
-#: is deterministic, so the bound costs time, never answers.
+#: is deterministic, so the bound costs time, never answers.  It also
+#: bounds the last-good results kept for the stale-cache fallback, least
+#: recently stored out first.
 MAX_INSTANCES = 128
 
 
@@ -1024,8 +1026,12 @@ class KernelService:
 
     def _remember_good(self, request, resp) -> None:
         if resp.result is not None and resp.result.checked:
+            key = self._stale_key(request)
             with self._stale_lock:
-                self._stale[self._stale_key(request)] = resp.result
+                self._stale.pop(key, None)  # re-store moves it to the end
+                self._stale[key] = resp.result
+                if len(self._stale) > MAX_INSTANCES:
+                    del self._stale[next(iter(self._stale))]
 
     def _finish(self, resp: ServiceResponse) -> ServiceResponse:
         self._bump(resp.status)

@@ -195,7 +195,8 @@ def test_translated_caches_per_engine_and_count_ops(runner):
     assert ck.translated("codegen", count_ops=True) is not cg
     thr = ck.translated("threaded")
     assert thr is not cg
-    assert ck.threaded() is thr  # shorthand hits the same cache slot
+    assert ck.translated("threaded") is thr
+    assert ck.translated("threaded", count_ops=True) is not thr
 
 
 def test_reference_engine_has_no_translate(runner):

@@ -2,7 +2,12 @@
 (offline symbolic vectorization + JIT) and the native flow (monolithic
 target-specific vectorization) must produce identical integer results —
 the strongest form of the paper's performance-portability claim: same
-semantics, different compilation strategies."""
+semantics, different compilation strategies.
+
+Every compiled kernel also runs on every registered engine, which must
+match the reference interpreter on value, output array, cycles and
+instruction count.  Trip counts reach past codegen's ``_MIN_BATCH``, so
+some loops take the batch path."""
 
 import zlib
 
@@ -14,6 +19,7 @@ from repro.frontend import compile_source
 from repro.ir import I32
 from repro.jit import MonoJIT, NativeBackend
 from repro.machine import VM, ArrayBuffer
+from repro.machine.registry import engine_names, get_engine
 from repro.targets import ALTIVEC, SSE
 from repro.vectorizer import native_config, split_config, vectorize_function
 
@@ -51,7 +57,7 @@ void k(int n, int x, int a[], int b[], int o[]) {{
 
 
 class TestSplitVsNative:
-    @given(src=kernel(), n=st.integers(1, 50), x=st.integers(-20, 20))
+    @given(src=kernel(), n=st.integers(1, 400), x=st.integers(-20, 20))
     @settings(max_examples=50, deadline=None)
     def test_flows_agree(self, src, n, x):
         fn = compile_source(src)["k"]
@@ -61,19 +67,28 @@ class TestSplitVsNative:
         a = rng.integers(-70, 70, n + 2).astype(np.int32)
         b = rng.integers(-70, 70, n + 2).astype(np.int32)
 
-        def run(ir, jit, target):
-            ck = jit.compile(ir, target)
+        def execute(run, *args):
             bufs = {
                 "a": ArrayBuffer(I32, n + 2, data=a),
                 "b": ArrayBuffer(I32, n + 2, data=b),
             }
             if has_out:
                 bufs["o"] = ArrayBuffer(I32, n)
-            res = VM(target).run(ck.mfunc, {"n": n, "x": x}, bufs)
+            res = run(*args, {"n": n, "x": x}, bufs)
             return (
                 int(res.value) if res.value is not None else None,
                 tuple(bufs["o"].read_elements()) if has_out else None,
+                res.cycles,
+                res.instructions,
             )
+
+        def run(ir, jit, target):
+            ck = jit.compile(ir, target)
+            ref = execute(VM(target).run, ck.mfunc)
+            for engine in engine_names():
+                got = execute(get_engine(engine).run, ck)
+                assert got == ref, (target.name, jit.name, engine)
+            return ref[:2]
 
         for target in (SSE, ALTIVEC):
             native_ir = vectorize_function(fn, native_config(target))

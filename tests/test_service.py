@@ -489,6 +489,7 @@ def test_service_instance_memo_is_bounded(tmp_path, monkeypatch):
         for n in range(16, 26):
             assert svc.handle(_req(size=n)).ok
             assert svc._instances.cache_info().currsize <= 4
+            assert len(svc._stale) <= 4
         # size=None is the kernel's default size: one instance, one entry.
         default = get_kernel("saxpy_fp").default_size
         assert svc._instance("saxpy_fp", None) is \

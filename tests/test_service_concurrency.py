@@ -37,8 +37,8 @@ SIZE = 16
 FLOW = "split_vec_gcc4cli"
 
 
-def _req(kernel="saxpy_fp", flow=FLOW, target="sse", **kw):
-    return ServiceRequest(kernel, flow=flow, target=target, size=SIZE, **kw)
+def _req(kernel="saxpy_fp", flow=FLOW, target="sse", size=SIZE, **kw):
+    return ServiceRequest(kernel, flow=flow, target=target, size=size, **kw)
 
 
 def _poll(predicate, timeout=10.0, what="condition"):
@@ -189,16 +189,21 @@ def test_flight_outcome_raises_a_per_follower_copy():
 # -- single-flight through the service ----------------------------------------
 
 
-def test_identical_cold_requests_compile_exactly_once_no_cache():
+@pytest.mark.parametrize("size", [SIZE, 20000])
+def test_identical_cold_requests_compile_exactly_once_no_cache(size):
     """8 concurrent identical misses, no persistent cache: one leader
     compiles, 7 followers coalesce.  The gate holds the leader's compile
     open until every follower has joined, so the coalescing is
-    deterministic, not a race."""
+    deterministic, not a race.  The cohort then runs the leader's one
+    translation at once; at n=20000 each run is long enough for the
+    threads to interleave inside it.  With ``retries=0`` a run that saw
+    another's buffers cannot hide behind a retry."""
     GatedJIT = _gated_jit()
-    svc = KernelService(cache_dir=None, workers=8, queue_limit=64)
+    svc = KernelService(cache_dir=None, workers=8, queue_limit=64,
+                        retries=0)
     try:
         with _Patched(FLOW, GatedJIT):
-            futures = [svc.submit(_req()) for _ in range(8)]
+            futures = [svc.submit(_req(size=size)) for _ in range(8)]
             _poll(
                 lambda: svc._singleflight.stats()["followers"] >= 7,
                 what="7 followers to join the flight",
@@ -209,7 +214,8 @@ def test_identical_cold_requests_compile_exactly_once_no_cache():
         svc.close()
 
     assert len(GatedJIT.calls) == 1, "single-flight must do ONE compile"
-    assert all(r.status == "ok" for r in responses)
+    assert [r.status for r in responses] == ["ok"] * 8
+    assert svc.stats()["retries"] == 0
     assert sum(r.coalesced for r in responses) == 7
     assert sum(not r.coalesced for r in responses) == 1
     # Followers share the leader's artifact: byte-identical results.
@@ -243,6 +249,7 @@ def test_identical_cold_requests_one_jit_compile_with_cache(tmp_path):
     ]
     assert len(real) == 1
     assert svc.stats()["cache"]["entries"] == 1
+    assert svc.stats()["retries"] == 0
 
 
 def test_follower_deadline_honoured_while_waiting():
@@ -371,6 +378,7 @@ def test_hammer_one_compile_and_one_put_per_unique_key(tmp_path):
     assert metrics["cache.puts"]["value"] == len(unique), \
         "duplicate cache put for a key"
     assert metrics["jit.compiles"]["value"] == len(unique)
+    assert svc.stats()["retries"] == 0
 
 
 def test_hammer_admission_depth_never_exceeds_limit(tmp_path):
@@ -447,3 +455,4 @@ def test_warm_responses_byte_identical_to_cold_under_concurrency(tmp_path):
         assert resp.result.value == ref.value
         assert resp.result.bytecode_bytes == ref.bytecode_bytes
     assert any(r.from_cache for r in warm)
+    assert svc.stats()["retries"] == 0

@@ -13,6 +13,9 @@ the whole gate just by registering itself.
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -20,7 +23,7 @@ from repro.harness.flows import FlowRunner
 from repro.kernels import all_kernels, get_kernel
 from repro.machine import VM, VMError
 from repro.machine.registry import engine_names, get_engine
-from repro.machine.threaded import ThreadedVM, translate
+from repro.machine.threaded import translate
 from repro.targets import TARGETS, get_target
 
 #: The three online compilers of Figure 4, as flow names: the Mono-like JIT
@@ -208,7 +211,7 @@ def test_trap_parity_instruction_budget(engine, diff_runner):
     inst = get_kernel("saxpy_fp").instantiate(32)
     target = get_target("sse")
     ck = diff_runner.compiled(inst, "split_vec_gcc4cli", target)
-    full = ck.threaded().run(
+    full = ck.translated("threaded").run(
         inst.scalar_args, diff_runner.make_buffers(inst)
     )
     n = full.instructions
@@ -257,27 +260,6 @@ def test_trap_parity_budget_vs_alignment_race(budget, engine, diff_runner):
 # -- translation caching ------------------------------------------------------
 
 
-def test_threaded_vm_translation_cache(diff_runner):
-    inst = get_kernel("saxpy_fp").instantiate(32)
-    target = get_target("sse")
-    ck = diff_runner.compiled(inst, "split_vec_gcc4cli", target)
-    tvm = ThreadedVM(target)
-    first = tvm.translation(ck.mfunc)
-    assert tvm.translation(ck.mfunc) is first
-    # count_ops variants translate (and cache) separately
-    counting = tvm.translation(ck.mfunc, count_ops=True)
-    assert counting is not first
-    assert tvm.translation(ck.mfunc, count_ops=True) is counting
-
-
-def test_compiled_kernel_threaded_cache(diff_runner):
-    inst = get_kernel("dscal_fp").instantiate(32)
-    target = get_target("neon")
-    ck = diff_runner.compiled(inst, "split_vec_mono", target)
-    assert ck.threaded() is ck.threaded()
-    assert ck.threaded(count_ops=True) is not ck.threaded()
-
-
 def test_translate_is_reusable(diff_runner):
     """One translation survives repeated runs with fresh buffers."""
     inst = get_kernel("interp_fp").instantiate(32)
@@ -288,6 +270,56 @@ def test_translate_is_reusable(diff_runner):
     r2 = code.run(inst.scalar_args, diff_runner.make_buffers(inst))
     assert r1.cycles == r2.cycles
     assert r1.instructions == r2.instructions
+
+
+@pytest.mark.parametrize("engine", CANDIDATE_ENGINES)
+def test_shared_translation_is_reentrant(engine, diff_runner):
+    """The registry's reentrancy rule: one shared compiled kernel (and so
+    one translation) run from 4 barrier-started threads, on fresh buffers,
+    gives the reference interpreter's answer on every run.  The tiny GIL
+    switch interval makes the threads interleave inside one run; n=20000
+    is long enough for codegen's batch plans to engage."""
+    inst = get_kernel("saxpy_fp").instantiate(20000)
+    target = get_target("sse")
+    ck = diff_runner.compiled(inst, "split_vec_gcc4cli", target)
+    ref_bufs = diff_runner.make_buffers(inst)
+    ref = VM(target).run(ck.mfunc, inst.scalar_args, ref_bufs)
+    expected = {n: b.read_elements() for n, b in ref_bufs.items()}
+    _engine_run(ck, engine, inst.scalar_args,
+                diff_runner.make_buffers(inst))  # translate before racing
+
+    threads, runs = 4, 5
+    barrier = threading.Barrier(threads, timeout=60)
+    wrong: list = []
+    done: list = []
+
+    def worker(t):
+        barrier.wait()
+        for i in range(runs):
+            bufs = diff_runner.make_buffers(inst)
+            res = _engine_run(ck, engine, inst.scalar_args, bufs)
+            got = (res.value, res.cycles, res.instructions)
+            if got != (ref.value, ref.cycles, ref.instructions):
+                wrong.append((t, i, got))
+            for name, want in expected.items():
+                if not np.array_equal(bufs[name].read_elements(), want):
+                    wrong.append((t, i, f"array {name} mismatch"))
+            done.append((t, i))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pool = [threading.Thread(target=worker, args=(t,))
+                for t in range(threads)]
+        for th in pool:
+            th.start()
+        for th in pool:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in pool), "a run hung"
+    assert not wrong, f"{engine}: {len(wrong)} wrong runs, e.g. {wrong[:3]}"
+    assert len(done) == threads * runs, "a run raised"
 
 
 # -- injected-fault trap parity (repro.faults) --------------------------------
@@ -334,7 +366,7 @@ def test_injected_memory_fault_is_marked(diff_runner):
     ck = diff_runner.compiled(inst, "split_vec_gcc4cli", target)
     with faults.injected(faults.FaultPlan([faults.MemFault(after=2)])):
         with pytest.raises(VMError) as exc_info:
-            ck.threaded().run(
+            ck.translated("threaded").run(
                 inst.scalar_args, diff_runner.make_buffers(inst)
             )
     assert isinstance(exc_info.value, FaultInjected)
@@ -361,7 +393,7 @@ def test_trap_parity_injected_fault_with_misalignment(diff_runner):
             )
         with faults.injected(plan):
             thr_trap = _trap_of(
-                lambda: ck.threaded().run(
+                lambda: ck.translated("threaded").run(
                     inst.scalar_args, misaligned.make_buffers(inst)
                 )
             )
@@ -380,10 +412,9 @@ def test_mem_hook_dormant_without_plan(diff_runner):
     inst = get_kernel("saxpy_fp").instantiate(32)
     target = get_target("sse")
     ck = diff_runner.compiled(inst, "split_vec_gcc4cli", target)
-    a = ck.threaded().run(inst.scalar_args, diff_runner.make_buffers(inst))
+    code = ck.translated("threaded")
+    a = code.run(inst.scalar_args, diff_runner.make_buffers(inst))
     with faults.injected(faults.FaultPlan([faults.MemFault(after=10**9)])):
-        b = ck.threaded().run(
-            inst.scalar_args, diff_runner.make_buffers(inst)
-        )
+        b = code.run(inst.scalar_args, diff_runner.make_buffers(inst))
     assert a.cycles == b.cycles
     assert a.value == b.value
