@@ -3,12 +3,14 @@
 The resilience PR's service thesis is that the crash-safe kernel cache
 converts the online JIT's per-request compile cost into a one-time cost
 per (bytecode, target, compiler) key: a *cold* request pays frontend +
-vectorizer + JIT + cache put, a *warm* request pays a checksum-verified
-cache read.  This bench measures both paths through the public
+vectorizer + JIT + cache put, a *warm* request pays a cache read whose
+bytes are compared with the cache's hot tier (the first warm hit of an
+entry in a process also pays the checksum verify, the unpickle and the
+translation).  This bench measures both paths through the public
 :class:`repro.service.KernelService` API — a second service instance over
-the same cache directory, so the warm numbers include the cross-process
-pickle/verify cost, not just a dict hit — plus the sustained batch
-throughput of the multi-threaded request path.
+the same cache directory, whose untimed first request per kernel pays
+that cross-process unpack — plus the sustained batch throughput of the
+multi-threaded request path.
 
 Standalone::
 

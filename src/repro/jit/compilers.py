@@ -76,10 +76,13 @@ class CompiledKernel:
         cached on the compiled kernel, so repeated executions (sweeps,
         repeated benchmark runs) pay translation exactly once; the
         wall-clock cost is recorded in the ``vm.translate_seconds``
-        metric.  The translation holds no run state, so every caller
-        sharing this kernel may run it at once.  Raises ``ValueError``
-        for engines without a ``translate`` callable (e.g. the reference
-        interpreter).
+        metric.  A kernel served from the
+        :class:`~repro.service.cache.KernelCache` hot tier is shared by
+        every warm hit on its entry, so its translations live as long as
+        that tier entry.  The translation holds no run state, so every
+        caller sharing this kernel may run it at once.  Raises
+        ``ValueError`` for engines without a ``translate`` callable
+        (e.g. the reference interpreter).
         """
         key = (engine, count_ops)
         code = self._translations.get(key)

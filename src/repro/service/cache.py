@@ -30,6 +30,13 @@ cache is built *assuming* its own entries will go bad:
   mtime ages past its TTL is *taken over* — a crashed replica can never
   strand the fleet.  Markers are advisory: the worst case of any race is
   one redundant compile, which the atomic entry write makes harmless.
+* **A hot tier, subordinate to the disk.**  ``get`` keeps the last
+  :data:`HOT_ENTRIES` kernels it unpacked, each with the exact entry
+  bytes it came from.  A hit still reads the entry from disk, and only
+  when those bytes equal the remembered ones does it return the same
+  kernel object (with its engine translations) instead of verifying,
+  unpickling and translating again.  The byte compare is the tier's
+  whole validation, so it can never serve what the disk would not.
 
 Keys are :class:`CacheKey` tuples — (bytecode CRC-32, target name,
 compiler name, toolchain version) — so a toolchain upgrade or a different
@@ -97,6 +104,12 @@ def canonical_crc(data: bytes) -> int:
 #: entry container magic (VBK = Vapor Bytecode Kernel, format 1).
 ENTRY_MAGIC = b"VBK1"
 _HEADER_BYTES = len(ENTRY_MAGIC) + 4  # magic + u32le crc32(payload)
+
+#: bound of the in-memory tier of unpacked kernels (see KernelCache.get).
+#: Under tracemalloc (five small split-flow kernels on SSE) an unpacked
+#: kernel takes 50-62 KB, plus 13-23 KB per threaded or 43-71 KB per
+#: codegen translation memoized on it, plus its 4-5 KB of entry bytes.
+HOT_ENTRIES = 64
 
 #: cache-key component covering everything that can invalidate an artifact
 #: besides the bytecode itself: package version and entry format revision.
@@ -287,16 +300,18 @@ class KernelCache:
     """Persistent, self-healing, LRU-bounded store of compiled kernels.
 
     ``get`` returns a :class:`~repro.jit.compilers.CompiledKernel`
-    reconstructed from disk, or ``None`` on miss *or* on any corruption
-    (after quarantining the bad entry).  ``put`` serializes the kernel and
-    writes it atomically after *reserving* its size against
-    ``byte_budget`` (evicting LRU entries first if needed).
+    for the entry on disk, or ``None`` on miss *or* on any corruption
+    (after quarantining the bad entry); while the entry's bytes are
+    unchanged, repeated hits return one shared kernel from the hot tier.
+    ``put`` serializes the kernel and writes it atomically after
+    *reserving* its size against ``byte_budget`` (evicting LRU entries
+    first if needed).
 
-    Thread-safe with **scoped locking**: the index lock guards only index
-    mutation and counters.  Disk I/O — entry reads, unpickling,
-    ``atomic_write``, eviction unlinks — happens *outside* the lock, so
-    concurrent gets/puts for distinct keys overlap instead of
-    serializing behind one reader's disk + unpickle time.  Atomic
+    Thread-safe with **scoped locking**: the index lock guards only the
+    index, the hot tier and the counters.  Disk I/O — entry reads,
+    unpickling, ``atomic_write``, eviction unlinks — happens *outside*
+    the lock, so concurrent gets/puts for distinct keys overlap instead
+    of serializing behind one reader's disk + unpickle time.  Atomic
     renames mean concurrent readers never see torn entries regardless.
 
     The byte budget is enforced against a **running total**
@@ -309,15 +324,19 @@ class KernelCache:
         self.byte_budget = int(byte_budget)
         self.quarantine_dir = os.path.join(self.root, "quarantine")
         os.makedirs(self.root, exist_ok=True)
-        self._lock = threading.Lock()  # index + counters ONLY — no I/O
+        self._lock = threading.Lock()  # index, tier, counters — no I/O
         #: filename -> size, in LRU order (oldest first).
         self._index: OrderedDict[str, int] = OrderedDict()
+        #: the hot tier: filename -> (entry bytes, the kernel unpacked
+        #: from them), in LRU order, at most HOT_ENTRIES; filled by get.
+        self._hot: OrderedDict[str, tuple[bytes, object]] = OrderedDict()
         #: running sum of ``_index.values()`` (kept exact under _lock).
         self._bytes = 0
         #: bytes reserved by in-flight ``put_bytes`` calls (admission
         #: holds them against the budget before the tempfile exists).
         self._pending = 0
         self.hits = 0
+        self.hot_hits = 0
         self.misses = 0
         self.evictions = 0
         self.quarantined = 0
@@ -369,7 +388,7 @@ class KernelCache:
                 pass
         with self._lock:
             self.quarantined += 1
-            self._drop_index(name)
+            self._forget(name)
         obs.count("cache.quarantined")
 
     def _drop_index(self, name: str) -> int | None:
@@ -382,20 +401,11 @@ class KernelCache:
             self._bytes -= size
         return size
 
-    def _evict_over_budget(self) -> list[str]:
-        """Pop LRU names until the running total fits the budget.
-
-        Caller must hold ``_lock``.  Returns the evicted filenames; the
-        caller unlinks them *after* releasing the lock (index mutation
-        is locked, disk I/O is not).
-        """
-        evicted: list[str] = []
-        while self._index and self._bytes > self.byte_budget:
-            name, size = self._index.popitem(last=False)
-            self._bytes -= size
-            self.evictions += 1
-            evicted.append(name)
-        return evicted
+    def _forget(self, name: str) -> None:
+        """Drop ``name`` from the index and the hot tier: its entry is
+        gone from disk, or about to be.  Caller must hold ``_lock``."""
+        self._drop_index(name)
+        self._hot.pop(name, None)
 
     def _unlink_evicted(self, names: list[str]) -> None:
         for name in names:
@@ -413,9 +423,13 @@ class KernelCache:
 
     # -- lookup / insert ------------------------------------------------------
 
-    def _miss(self) -> None:
+    def _miss(self, name: str) -> None:
+        """Count a miss on ``name``: its entry is gone (a replica or an
+        operator deleted it) or unusable, so neither the index nor the
+        hot tier may keep it."""
         with self._lock:
             self.misses += 1
+            self._forget(name)
         obs.count("cache.misses")
 
     def get(self, key: CacheKey):
@@ -425,11 +439,20 @@ class KernelCache:
         caller recompiles and ``put`` overwrites, which is the
         self-healing loop.
 
-        The read and the unpickle happen *outside* the index lock (the
-        entry file is immutable once renamed into place; a concurrent
-        ``put`` atomically replaces it, so this reader sees the old
-        bytes or the new bytes, never a mix) — only the LRU touch takes
-        the lock.
+        Every call reads the entry from disk.  When the bytes equal the
+        ones the hot tier's kernel for this name was unpacked from, that
+        same kernel is returned (``hot_hits``), translations included;
+        otherwise the bytes are verified and unpacked and the result
+        replaces the tier entry.  Comparing bytes, not mtimes or sizes,
+        is what keeps the tier exact: a replica may overwrite an entry
+        in the shared directory, and a rewrite in place can keep the
+        inode, the size and even the mtime tick.
+
+        The read, the compare and the unpickle happen *outside* the
+        index lock (the entry file is immutable once renamed into
+        place; a concurrent ``put`` atomically replaces it, so this
+        reader sees the old bytes or the new bytes, never a mix) — only
+        the tier lookup and the LRU touch take the lock.
         """
         name = key.filename()
         path = os.path.join(self.root, name)
@@ -437,29 +460,43 @@ class KernelCache:
             with open(path, "rb") as f:
                 data = f.read()
         except FileNotFoundError:
-            self._miss()
+            self._miss(name)
             return None
         except OSError as exc:
-            self._miss()
+            self._miss(name)
             self._quarantine(name, f"io: {exc}")
             return None
-        try:
-            ck = unpack_kernel(data)
-        except CacheError as exc:
-            self._miss()
-            self._quarantine(name, exc.kind)
-            return None
         with self._lock:
-            # LRU touch (index mutation only).
+            hot = self._hot.get(name)
+        from_tier = hot is not None and hot[0] == data
+        if from_tier:
+            ck = hot[1]
+        else:
+            try:
+                ck = unpack_kernel(data)
+            except CacheError as exc:
+                self._miss(name)
+                self._quarantine(name, exc.kind)
+                return None
+            hot = (data, ck)
+        with self._lock:
+            # LRU touch of the index and the tier.
             self._drop_index(name)
             self._index[name] = len(data)
             self._bytes += len(data)
             self.hits += 1
+            self.hot_hits += from_tier
+            self._hot.pop(name, None)
+            self._hot[name] = hot
+            if len(self._hot) > HOT_ENTRIES:
+                self._hot.popitem(last=False)
         try:
             os.utime(path)
         except OSError:
             pass
         obs.count("cache.hits")
+        if from_tier:
+            obs.count("cache.hot_hits")
         return ck
 
     def put(self, key: CacheKey, ck) -> bool:
@@ -506,6 +543,7 @@ class KernelCache:
                 ):
                     ename, esize = self._index.popitem(last=False)
                     self._bytes -= esize
+                    self._hot.pop(ename, None)
                     self.evictions += 1
                     evicted.append(ename)
                 if self._bytes + self._pending > self.byte_budget:
@@ -639,7 +677,7 @@ class KernelCache:
         on-disk entry existed and was removed."""
         name = key.filename()
         with self._lock:
-            self._drop_index(name)
+            self._forget(name)
         try:
             os.unlink(os.path.join(self.root, name))
         except OSError:
@@ -656,6 +694,7 @@ class KernelCache:
                 "bytes": self._bytes,
                 "byte_budget": self.byte_budget,
                 "hits": self.hits,
+                "hot_hits": self.hot_hits,
                 "misses": self.misses,
                 "hit_ratio": (
                     self.hits / (self.hits + self.misses)

@@ -12,15 +12,17 @@ on-disk artifact store).
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 import os
+import sys
 import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import faults
+from repro import faults, obs
 from repro.errors import ReproError, classify
 from repro.harness.flows import FlowRunner
 from repro.kernels import get_kernel
@@ -39,6 +41,7 @@ from repro.service import (
     ServiceRequest,
     atomic_write,
 )
+from repro.service import cache as cache_mod
 from repro.service import core as core_mod
 
 SIZE = 16
@@ -171,9 +174,11 @@ def test_cache_lru_eviction_respects_byte_budget(tmp_path):
 
 
 def _corrupt(path: str) -> None:
-    data = bytearray(open(path, "rb").read())
+    with open(path, "rb") as f:
+        data = bytearray(f.read())
     data[len(data) // 2] ^= 0x40
-    open(path, "wb").write(bytes(data))
+    with open(path, "wb") as f:
+        f.write(bytes(data))
 
 
 def test_quarantine_names_never_collide_across_instances(tmp_path):
@@ -269,6 +274,130 @@ def test_cache_put_failure_is_counted_not_raised(tmp_path):
         assert cache.put(key, ck) is False
     assert cache.put_failures == 1
     assert cache.get(key) is None  # destination never appeared
+
+
+def test_cache_forgets_an_entry_deleted_behind_it(tmp_path):
+    """An entry another replica (or an operator) deleted is a miss, and
+    the index stops counting it: neither ``entries``/``total_bytes`` nor
+    a later budget eviction may see the vanished file."""
+    entry = b"VBK1" + bytes(104)
+    cache = KernelCache(str(tmp_path / "kc"), byte_budget=len(entry))
+    gone, fresh = CacheKey(1, "sse", "gcc4cli"), CacheKey(2, "sse", "gcc4cli")
+    assert cache.put_bytes(gone, entry)
+    os.unlink(os.path.join(cache.root, gone.filename()))
+
+    assert cache.get(gone) is None
+    assert cache.stats()["entries"] == 0 and cache.total_bytes() == 0
+    _assert_bytes_consistent(cache)
+    # The budget holds exactly one entry: the next put has nothing to
+    # evict, because the vanished file no longer counts.
+    assert cache.put_bytes(fresh, entry)
+    assert cache.evictions == 0 and cache.total_bytes() == len(entry)
+
+
+# -- KernelCache: the hot tier ------------------------------------------------
+
+
+def test_cache_hot_tier_returns_one_kernel_for_unchanged_bytes(tmp_path):
+    cache, key, ck = _compiled(tmp_path)
+    cache.put(key, ck)
+    first = cache.get(key)
+    assert cache.get(key) is first
+    s = cache.stats()
+    # Both reads are disk-cache hits; the second was answered by the tier.
+    assert s["hits"] == 2 and s["hot_hits"] == 1
+
+
+def test_cache_hot_tier_yields_to_a_replicas_overwrite(tmp_path):
+    """A second cache on the same directory (another replica) overwrites
+    the entry with a different valid envelope of the same size: the next
+    get must unpack the new bytes, not return the memoized kernel."""
+    cache, key, ck = _compiled(tmp_path)
+    cache.put(key, ck)
+    old = cache.get(key)
+    other = dataclasses.replace(ck, compile_seconds=ck.compile_seconds + 1.0)
+    assert KernelCache(cache.root).put(key, other)
+
+    new = cache.get(key)
+    assert new is not old
+    assert new.compile_seconds == other.compile_seconds
+    assert cache.hot_hits == 0
+    assert cache.get(key) is new and cache.hot_hits == 1
+
+
+def test_cache_hot_tier_never_goes_back_under_a_racing_writer(tmp_path):
+    """Six readers race a replica that keeps overwriting the entry with
+    newer same-size versions.  The disk only moves forward, so no reader
+    may see an older version after a newer one, the last read must see
+    the last write, and no counter update may be lost."""
+    cache, key, ck = _compiled(tmp_path)
+    versions = [dataclasses.replace(ck, compile_seconds=float(i))
+                for i in range(40)]
+    cache.put(key, versions[0])
+    replica = KernelCache(cache.root)
+    readers, gets = 6, 150
+    errors: list = []
+
+    def read():
+        last = -1.0
+        try:
+            for _ in range(gets):
+                seen = cache.get(key).compile_seconds
+                assert seen >= last, f"went back from {last} to {seen}"
+                last = seen
+        except Exception as exc:  # pragma: no cover
+            errors.append(exc)
+
+    def write():
+        for v in versions[1:]:
+            replica.put(key, v)
+
+    threads = [threading.Thread(target=read) for _ in range(readers)]
+    threads.append(threading.Thread(target=write))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors[0]
+    assert cache.get(key).compile_seconds == versions[-1].compile_seconds
+    s = cache.stats()
+    assert s["hits"] == readers * gets + 1 and s["misses"] == 0
+    assert 0 < s["hot_hits"] < s["hits"]
+
+
+def test_cache_hot_tier_forgets_evicted_and_quarantined_entries(tmp_path):
+    cache, key, ck = _compiled(tmp_path)
+    name = key.filename()
+    cache.put(key, ck)
+    cache.get(key)
+    assert name in cache._hot
+    assert cache.evict(key)
+    assert name not in cache._hot
+
+    cache.put(key, ck)
+    cache.get(key)
+    assert name in cache._hot
+    _corrupt(os.path.join(cache.root, name))
+    assert cache.get(key) is None and cache.quarantined == 1
+    assert name not in cache._hot
+
+
+def test_cache_hot_tier_is_bounded(tmp_path, monkeypatch):
+    monkeypatch.setattr(cache_mod, "HOT_ENTRIES", 2)
+    cache, _key, ck = _compiled(tmp_path)
+    keys = [CacheKey(i, "sse", "gcc4cli") for i in range(3)]
+    for k in keys:
+        cache.put(k, ck)
+        assert cache.get(k) is not None
+    # Least recently read out first; the disk entries all stay.
+    assert list(cache._hot) == [k.filename() for k in keys[1:]]
+    assert len(cache) == 3
 
 
 # -- Deadline / AdmissionQueue ------------------------------------------------
@@ -430,6 +559,20 @@ def test_service_counts_and_health(svc):
     health = svc.health()
     assert health["status"] == "ok"
     assert health["cache_enabled"] and health["queue_depth"] == 0
+
+
+def test_service_warm_hits_translate_once(svc):
+    """Warm requests of one shape share the tier's kernel: only the
+    first hit unpacks and translates, the rest reuse its translation."""
+    assert not svc.handle(_req()).from_cache  # cold compile and put
+    n = 6
+    with obs.recording(trace=False, metrics=True) as ob:
+        responses = [svc.handle(_req()) for _ in range(n)]
+    assert all(r.status == "ok" and r.from_cache for r in responses)
+    assert svc.stats()["cache"]["hot_hits"] == n - 1
+    metrics = ob.metrics_snapshot()
+    assert metrics["vm.translate_seconds"]["count"] == 1
+    assert metrics["cache.hot_hits"]["value"] == n - 1
 
 
 def test_service_rejects_unknown_kernel_and_flow(svc):
@@ -746,8 +889,16 @@ class TestCacheCorruptionProperty:
             cache = KernelCache(root)
             key = CacheKey(0x1234, "sse", "gcc4cli")
             path = os.path.join(root, key.filename())
-            atomic_write(path, bytes(blob))
+            atomic_write(path, prep["data"])
             cache._scan()
+            # Prime the hot tier with the true entry, then corrupt it in
+            # place behind the cache: same inode, same size, same mtime.
+            assert cache.get(key) is not None
+            stat = os.stat(path)
+            with open(path, "r+b") as f:
+                f.seek(off)
+                f.write(blob[off:off + 1])
+            os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
 
             got = cache.get(key)
             if got is None:
@@ -755,6 +906,7 @@ class TestCacheCorruptionProperty:
                 # serves the true artifact again.
                 assert cache.quarantined == 1
                 assert not os.path.exists(path)
+                assert key.filename() not in cache._hot
                 assert cache.put(key, prep["ck"])
                 healed = cache.get(key)
                 assert healed is not None
