@@ -9,11 +9,12 @@ the engines themselves stay raw — so the overhead is measurable as the
 ratio between the instrumented call and the raw engine call on the same
 workload.
 
-This file measures exactly that, with the same interleaved best-of-N
-protocol as ``bench_vm_throughput.py`` (alternating samples so host
-contention hits both paths alike):
+This file measures exactly that, on the engine the service runs (the
+registry's ``DEFAULT_ENGINE``, named ``ENGINE`` below), with the same
+interleaved best-of-N protocol as ``bench_vm_throughput.py``
+(alternating samples so host contention hits both paths alike):
 
-* **raw** — ``ck.translated("threaded").run(...)``: the uninstrumented
+* **raw** — ``ck.translated(ENGINE).run(...)``: the uninstrumented
   engine.
 * **disabled** — ``api.execute_phase(...)`` with no recorder installed:
   the NULL_SPAN path.  Budgeted **<5%** over raw; CI runs ``--quick
@@ -45,7 +46,6 @@ QUICK_KERNELS = ("saxpy_fp", "MMM_fp")
 
 FLOW = "split_vec_gcc4cli"
 TARGET = "sse"
-ENGINE = "threaded"
 SIZE_SCALE = 16  # match bench_vm_throughput: steady state over setup
 
 
@@ -75,6 +75,7 @@ def measure(kernel_names=BENCH_KERNELS, size=None, repeats=5):
     from repro.api import execute_phase
     from repro.harness.flows import FlowRunner
     from repro.kernels import get_kernel
+    from repro.machine.registry import DEFAULT_ENGINE as ENGINE
     from repro.targets import get_target
 
     # The disabled-path numbers are only honest with nothing installed.
@@ -87,7 +88,7 @@ def measure(kernel_names=BENCH_KERNELS, size=None, repeats=5):
         kernel = get_kernel(name)
         inst = kernel.instantiate(_bench_size(kernel, size))
         ck = runner.compiled(inst, FLOW, target)
-        code = ck.translated("threaded")  # once, outside the timing
+        code = ck.translated(ENGINE)  # once, outside the timing
 
         def raw():
             return code.run(inst.scalar_args, runner.make_buffers(inst))

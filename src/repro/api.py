@@ -242,7 +242,7 @@ class Pipeline:
     ``engine``
         any name from :func:`repro.machine.registry.engine_names`
         (``threaded`` / ``codegen`` / ``reference`` built in — all
-        bit-identical; default ``threaded``).
+        bit-identical; default ``codegen``).
     ``vectorize``
         False compiles the scalar bytecode directly (flow A/E shape).
     ``force_scalar``

@@ -118,11 +118,14 @@ class FlowRunner:
     ``vectorizer_overrides`` feed the ablation experiments (e.g.
     ``enable_alignment_opts=False`` for §V-A.b).
 
-    ``engine`` selects the execution engine: ``"threaded"`` (default) runs
-    pre-decoded closure code (:mod:`repro.machine.threaded`), ``"reference"``
-    runs the decode-per-instruction reference interpreter.  The two are
-    differential-tested to be bit-identical (cycles, values, op counts), so
-    every figure/table is engine-independent.
+    ``engine`` selects the execution engine by registry name:
+    ``"codegen"`` (default, :data:`~repro.machine.registry.DEFAULT_ENGINE`)
+    runs generated Python source with batched loops
+    (:mod:`repro.machine.codegen`), ``"threaded"`` pre-decoded closure
+    code (:mod:`repro.machine.threaded`), ``"reference"`` the
+    decode-per-instruction reference interpreter.  All are
+    differential-tested to be bit-identical (cycles, values, op counts),
+    so every figure/table is engine-independent.
 
     Every :meth:`run` is instrumented as the canonical span taxonomy of
     ``docs/observability.md``: one ``flow`` root containing exactly the

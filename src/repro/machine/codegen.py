@@ -12,12 +12,12 @@ closure and still pays a Python call per instruction, this engine
 * block accounting is shared with the threaded engine via
   :mod:`repro.machine.blocks`: one pre-summed ``_cy += <const>`` /
   ``_n += <count>`` per block; a block that would cross the instruction
-  budget is replayed per instruction *in generated code* with
-  per-instruction budget checks, so the trap raised (budget exhaustion
-  vs. an earlier alignment fault inside the block) is exactly the
-  reference VM's;
+  budget is replayed per instruction with per-instruction budget checks
+  (:class:`_Overrun` generates that replay on first use), so the trap
+  raised (budget exhaustion vs. an earlier alignment fault inside the
+  block) is exactly the reference VM's;
 * counted loops additionally get a **batch plan** (``_BatchPlan``):
-  on loop-header entry the plan computes the trip count from the live
+  on entry into the loop the plan computes the trip count from the live
   induction-variable value and — when the body is a supported streaming
   shape — executes ``trip - 1`` iterations as whole-array numpy slice
   operations (one numpy op per MIR instruction for the *entire batch*),
@@ -46,6 +46,7 @@ source (the PR 8 warm-byte-identity invariant).
 
 from __future__ import annotations
 
+import threading
 from collections import Counter
 
 import numpy as np
@@ -82,8 +83,8 @@ _PYCMP = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=", "gt": ">", "ge": ">="}
 #: superinstructions).
 _MIN_BATCH = 32
 
-#: upper bound on iterations per batch (bounds slice working-set size; the
-#: plan simply re-batches on the next header entry).
+#: upper bound on iterations per batch (bounds slice working-set size; a
+#: longer trip runs as consecutive batches within one attempt).
 _MAX_BATCH = 1 << 20
 
 _INDENT = "    "
@@ -599,6 +600,7 @@ class _Emitter:
             self.block_op_counts.append(oc)
 
         sites = self._find_plans(bodies, labels, block_at, accounting)
+        self.names.bind_named("_over", _Overrun(self, bodies, accounting))
 
         depths = loop_depths(starts, instrs, labels, block_at)
         order = sorted(range(nblocks), key=lambda k: (-depths[k], k))
@@ -613,55 +615,54 @@ class _Emitter:
         for pos, bi in enumerate(order):
             w.w(("if" if pos == 0 else "elif") + f" _bi == {bi}:")
             w.depth += 1
-            self._emit_block(
-                w, bi, bodies[bi], accounting[bi], labels, block_at,
-                nblocks, sites.get(bi),
-            )
+            if bi in sites:
+                self._emit_attempt(w, bi, sites[bi])
+            term = self._emit_block(w, bi, bodies[bi], accounting[bi])
+            if bi - 1 in sites:
+                # Loop rotation: a planned body ends with its header's
+                # own check and branch, so the plan is tried once per
+                # entry into the loop, never once per iteration.
+                hb = bi - 1
+                term = self._emit_block(w, hb, bodies[hb], accounting[hb])
+                self._emit_terminator(w, term, hb, labels, block_at, nblocks)
+            else:
+                self._emit_terminator(w, term, bi, labels, block_at, nblocks)
             w.depth -= 1
         w.w("else:")
         w.depth += 1
         w.w("raise AssertionError('unreachable block %r' % (_bi,))")
         return w.source(), self.names.ns
 
-    def _emit_block(self, w, bi, body, acct, labels, block_at, nblocks,
-                    site):
+    def _emit_attempt(self, w, bi, site):
+        pname, in_regs, iv_reg, body_bi = site
+        w.w("if _mh is None:")
+        w.depth += 1
+        w.w("try:")
+        w.w(
+            _INDENT + f"_t = {pname}.attempt(({', '.join(in_regs)},), "
+            "_sp, _n, _maxi, _bufs)"
+        )
+        w.w("except NameError:")
+        w.w(_INDENT + "_t = None")
+        w.w("if _t is not None:")
+        w.depth += 1
+        w.w(f"{iv_reg} = _t[0]")
+        w.w("_n += _t[1]")
+        w.w("_cy += _t[2]")
+        if self.count_ops:
+            w.w(f"_bc[{bi}] += _t[3]")
+            w.w(f"_bc[{body_bi}] += _t[3]")
+        w.depth -= 2
+
+    def _emit_block(self, w, bi, body, acct):
+        """Emit block ``bi``'s accounting and statements; returns its
+        terminator (None for a fallthrough).  A block that would pass
+        the budget hands the frame's locals to ``_over``, which replays
+        it per instruction (:class:`_Overrun`)."""
         count, cyc = acct
-        if site is not None:
-            pname, in_regs, iv_reg, body_bi = site
-            w.w("if _mh is None:")
-            w.depth += 1
-            w.w("try:")
-            w.w(
-                _INDENT + f"_t = {pname}.attempt(({', '.join(in_regs)},), "
-                "_sp, _n, _maxi, _bufs)"
-            )
-            w.w("except NameError:")
-            w.w(_INDENT + "_t = None")
-            w.w("if _t is not None:")
-            w.depth += 1
-            w.w(f"{iv_reg} = _t[0]")
-            w.w("_n += _t[1]")
-            w.w("_cy += _t[2]")
-            if self.count_ops:
-                w.w(f"_bc[{bi}] += _t[3]")
-                w.w(f"_bc[{body_bi}] += _t[3]")
-            w.depth -= 2
         w.w(f"_n += {count}")
         w.w("if _n > _maxi:")
-        w.depth += 1
-        w.w(f"_n -= {count}")
-        msg = (
-            "instruction budget exceeded in "
-            f"{_escape_pct(self.mfunc.name)} (%d)"
-        )
-        for ins in body:
-            w.w("_n += 1")
-            w.w("if _n > _maxi:")
-            w.w(_INDENT + f"raise _VMError({msg!r} % (_maxi,))")
-            if ins.op != "label" and ins.op not in TERMINATORS:
-                w.block(self.emit(ins))
-        w.w("raise AssertionError('unreachable: overrun block must trap')")
-        w.depth -= 1
+        w.w(_INDENT + f"_over({bi}, locals())")
         w.w(f"_cy += {cyc!r}")
         if self.count_ops:
             w.w(f"_bc[{bi}] += 1")
@@ -673,7 +674,41 @@ class _Emitter:
                 term = ins
                 continue
             w.block(self.emit(ins))
-        self._emit_terminator(w, term, bi, labels, block_at, nblocks)
+        return term
+
+    def replay_source(self, bi, body, count) -> str:
+        """Source of ``_replay(env)``: block ``bi`` run one instruction at
+        a time from the frame locals ``env``, with a budget check before
+        each, so it raises the reference VM's trap, budget or earlier
+        fault.  A register the frame never bound stays unbound here
+        too."""
+        w = _Writer()
+        w.w("def _replay(_e):")
+        w.depth += 1
+        w.w(f"_n = _e['_n'] - {count}")
+        names = ["_maxi", "_sp", "_mh"]
+        for i in range(len(self.mfunc.arrays)):
+            names += [f"_w{i}", f"_g{i}", f"_L{i}", f"_b{i}"]
+        for name in names:
+            w.w(f"{name} = _e[{name!r}]")
+        regs = []
+        for ins in body:
+            for r in ins.srcs:
+                reg = f"r{self._slot(r)}"
+                if reg not in regs:
+                    regs.append(reg)
+                    w.w(f"if {reg!r} in _e: {reg} = _e[{reg!r}]")
+        msg = (
+            "instruction budget exceeded in "
+            f"{_escape_pct(self.mfunc.name)} (%d)"
+        )
+        for ins in body:
+            w.w("_n += 1")
+            w.w("if _n > _maxi:")
+            w.w(_INDENT + f"raise _VMError({msg!r} % (_maxi,))")
+            if ins.op != "label" and ins.op not in TERMINATORS:
+                w.block(self.emit(ins))
+        return w.source()
 
     def _emit_terminator(self, w, term, bi, labels, block_at, nblocks):
         none_ret = self._ret("None")
@@ -863,6 +898,42 @@ class _Emitter:
         )
 
 
+class _Overrun:
+    """A block's per-instruction budget replay, built on first overrun.
+
+    Generated code calls ``_over(bi, locals())`` only when block ``bi``
+    would pass the budget, which a run does at most once.  The replay is
+    emitted by the same :meth:`_Emitter.emit` as the block itself,
+    compiled once per block under a lock (one translation serves every
+    thread) and run on the frame's locals; it always raises.  Keeping it
+    out of the main source is what keeps ``compile()`` short.
+    """
+
+    def __init__(self, emitter, bodies, accounting):
+        self._emitter = emitter
+        self._bodies = bodies
+        self._counts = [count for count, _cyc in accounting]
+        self._replays: dict[int, object] = {}
+        self._lock = threading.Lock()
+
+    def __call__(self, bi, env):
+        with self._lock:
+            fn = self._replays.get(bi)
+            if fn is None:
+                em = self._emitter
+                src = em.replay_source(bi, self._bodies[bi], self._counts[bi])
+                code = compile(
+                    src,
+                    f"<codegen-replay:{em.mfunc.name}:{em.target.name}:{bi}>",
+                    "exec",
+                )
+                scope: dict = {}
+                exec(code, em.names.ns, scope)
+                fn = self._replays[bi] = scope["_replay"]
+        fn(env)
+        raise AssertionError("unreachable: overrun block must trap")
+
+
 #: ops the batch walk understands; anything else in a loop body disables
 #: the plan at translate time (reductions, permutes, library calls, ...).
 _PLAN_OPS = (
@@ -967,8 +1038,10 @@ class _BatchPlan:
     """Batched execution of one counted streaming loop.
 
     Built at translate time from a canonical header (``label; cmp;
-    brfalse``) plus a single body block that branches back.  At run time
-    :meth:`attempt` abstractly interprets the body once over nodes —
+    brfalse``) plus a single body block that branches back.  The
+    generated code rotates the loop (the body ends with its own copy of
+    the header), so :meth:`attempt` runs once per entry into the loop.
+    It abstractly interprets the body once over nodes —
 
     * ``("i", value)`` — loop-invariant value,
     * ``("a", base, coef, dtype)`` — affine in the iteration index
@@ -1023,13 +1096,14 @@ class _BatchPlan:
     # -- entry point ----------------------------------------------------
 
     def attempt(self, vals, sp, executed, maxi, bufs):
-        """Try one batch; ``(new_iv, d_count, d_cycles, k)`` or None.
+        """Batch the loop's remaining trip; ``(new_iv, d_count,
+        d_cycles, k)`` for the ``k`` iterations done, or None.
 
         ``vals`` holds the live values of ``in_slots`` in order; ``sp``
         is the spill dict; ``bufs`` the run's array buffers.  Never
-        raises: any bail (or unexpected walk error) returns None before
-        memory was touched, and the caller falls through to normal
-        execution.
+        raises: any bail (or unexpected walk error) before the first
+        chunk commits returns None with memory untouched, and the caller
+        falls through to normal execution.
         """
         if self.dead:
             return None
@@ -1055,8 +1129,6 @@ class _BatchPlan:
         step = self._step(vals, sp)
         trip = self._trip(iv0, bound, step)
         k = trip - 1
-        if k > _MAX_BATCH:
-            k = _MAX_BATCH
         if self.per_iter_count > 0:
             room = (maxi - executed) // self.per_iter_count
             if room < k:
@@ -1068,15 +1140,31 @@ class _BatchPlan:
                 and self._iv_lo <= hi <= self._iv_hi):
             raise _Bail()
 
-        loads, stores = self._walk(vals, sp, iv0, step, k, bufs)
-        self._check_mem(loads, stores, k)
-        self._commit(stores, k)
-        self.batches += 1
+        # The plan is tried once per loop entry, so one attempt covers the
+        # whole trip in chunks of at most _MAX_BATCH.  Each chunk commits
+        # only after its own walk and checks pass; a later chunk that
+        # fails leaves the committed ones standing and the loop resumes
+        # per iteration from there.
+        done = 0
+        while done < k:
+            c = min(k - done, _MAX_BATCH)
+            try:
+                loads, stores = self._walk(
+                    vals, sp, iv0 + done * step, step, c, bufs
+                )
+                self._check_mem(loads, stores, c)
+            except Exception:
+                if not done:
+                    raise
+                break
+            self._commit(stores, c)
+            self.batches += 1
+            done += c
         return (
-            self.ivT(hi),
-            k * self.per_iter_count,
-            k * self.per_iter_cycles,
-            k,
+            self.ivT(iv0 + done * step),
+            done * self.per_iter_count,
+            done * self.per_iter_cycles,
+            done,
         )
 
     def _step(self, vals, sp):
@@ -1257,7 +1345,7 @@ class _BatchPlan:
                     r = _BIN_FUNCS[op](a, b, dt)
                 env[ins.dst.id] = ("i", r)
                 return
-            if (dt.kind in "iu" and op in ("add", "sub", "mul")
+            if (dt.kind in "iu" and op in ("add", "sub", "mul", "shl")
                     and na[0] != "b" and nb[0] != "b"):
                 ai = _int_operand(na, dt, k)
                 bi = _int_operand(nb, dt, k)
@@ -1271,6 +1359,16 @@ class _BatchPlan:
                         node = _aff_or_none(
                             ai[0] - bi[0], ai[1] - bi[1], dt, k
                         )
+                    elif op == "shl":
+                        # Targets without scaled addressing (NEON,
+                        # AltiVec, the Mono JIT) scale indices by shl: an
+                        # invariant count c is a multiply by 2^c, masked
+                        # like _shl; one that would wrap stays None.
+                        if bi[1] == 0:
+                            c = bi[0] & (dt.itemsize * 8 - 1)
+                            node = _aff_or_none(
+                                ai[0] << c, ai[1] << c, dt, k
+                            )
                     elif ai[1] == 0:
                         node = _aff_or_none(
                             ai[0] * bi[0], ai[0] * bi[1], dt, k

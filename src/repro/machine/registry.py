@@ -69,7 +69,7 @@ __all__ = [
 ]
 
 #: the engine every entry point defaults to.
-DEFAULT_ENGINE = "threaded"
+DEFAULT_ENGINE = "codegen"
 
 
 @dataclass(frozen=True)

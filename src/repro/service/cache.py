@@ -30,13 +30,14 @@ cache is built *assuming* its own entries will go bad:
   mtime ages past its TTL is *taken over* — a crashed replica can never
   strand the fleet.  Markers are advisory: the worst case of any race is
   one redundant compile, which the atomic entry write makes harmless.
-* **A hot tier, subordinate to the disk.**  ``get`` keeps the last
-  :data:`HOT_ENTRIES` kernels it unpacked, each with the exact entry
-  bytes it came from.  A hit still reads the entry from disk, and only
-  when those bytes equal the remembered ones does it return the same
-  kernel object (with its engine translations) instead of verifying,
-  unpickling and translating again.  The byte compare is the tier's
-  whole validation, so it can never serve what the disk would not.
+* **A hot tier, subordinate to the disk.**  The cache keeps the last
+  :data:`HOT_ENTRIES` kernels that ``get`` unpacked or ``put`` wrote,
+  each with the exact entry bytes it came from or went to.  A hit still
+  reads the entry from disk, and only when those bytes equal the
+  remembered ones does it return the same kernel object (with its
+  engine translations) instead of verifying, unpickling and translating
+  again.  The byte compare is the tier's whole validation, so it can
+  never serve what the disk would not.
 
 Keys are :class:`CacheKey` tuples — (bytecode CRC-32, target name,
 compiler name, toolchain version) — so a toolchain upgrade or a different
@@ -107,7 +108,7 @@ _HEADER_BYTES = len(ENTRY_MAGIC) + 4  # magic + u32le crc32(payload)
 
 #: bound of the in-memory tier of unpacked kernels (see KernelCache.get).
 #: Under tracemalloc (five small split-flow kernels on SSE) an unpacked
-#: kernel takes 50-62 KB, plus 13-23 KB per threaded or 43-71 KB per
+#: kernel takes 50-62 KB, plus 13-23 KB per threaded or 29-52 KB per
 #: codegen translation memoized on it, plus its 4-5 KB of entry bytes.
 HOT_ENTRIES = 64
 
@@ -327,8 +328,9 @@ class KernelCache:
         self._lock = threading.Lock()  # index, tier, counters — no I/O
         #: filename -> size, in LRU order (oldest first).
         self._index: OrderedDict[str, int] = OrderedDict()
-        #: the hot tier: filename -> (entry bytes, the kernel unpacked
-        #: from them), in LRU order, at most HOT_ENTRIES; filled by get.
+        #: the hot tier: filename -> (entry bytes, the kernel they
+        #: encode), in LRU order, at most HOT_ENTRIES; filled by get and
+        #: by a put whose write landed.
         self._hot: OrderedDict[str, tuple[bytes, object]] = OrderedDict()
         #: running sum of ``_index.values()`` (kept exact under _lock).
         self._bytes = 0
@@ -407,6 +409,14 @@ class KernelCache:
         self._drop_index(name)
         self._hot.pop(name, None)
 
+    def _remember(self, name: str, data: bytes, ck) -> None:
+        """Make ``(data, ck)`` the hot-tier entry of ``name``, most
+        recently used, within HOT_ENTRIES.  Caller must hold ``_lock``."""
+        self._hot.pop(name, None)
+        self._hot[name] = (data, ck)
+        if len(self._hot) > HOT_ENTRIES:
+            self._hot.popitem(last=False)
+
     def _unlink_evicted(self, names: list[str]) -> None:
         for name in names:
             try:
@@ -440,8 +450,9 @@ class KernelCache:
         self-healing loop.
 
         Every call reads the entry from disk.  When the bytes equal the
-        ones the hot tier's kernel for this name was unpacked from, that
-        same kernel is returned (``hot_hits``), translations included;
+        ones the hot tier's kernel for this name was unpacked from (or
+        written as, by ``put``), that same kernel is returned
+        (``hot_hits``), translations included;
         otherwise the bytes are verified and unpacked and the result
         replaces the tier entry.  Comparing bytes, not mtimes or sizes,
         is what keeps the tier exact: a replica may overwrite an entry
@@ -486,10 +497,7 @@ class KernelCache:
             self._bytes += len(data)
             self.hits += 1
             self.hot_hits += from_tier
-            self._hot.pop(name, None)
-            self._hot[name] = hot
-            if len(self._hot) > HOT_ENTRIES:
-                self._hot.popitem(last=False)
+            self._remember(name, *hot)
         try:
             os.utime(path)
         except OSError:
@@ -506,15 +514,18 @@ class KernelCache:
         the cache: the destination is untouched and the failure is only
         counted — serving the freshly compiled kernel is unaffected.
         """
-        return self.put_bytes(key, pack_kernel(ck))
+        return self.put_bytes(key, pack_kernel(ck), ck)
 
-    def put_bytes(self, key: CacheKey, data: bytes) -> bool:
+    def put_bytes(self, key: CacheKey, data: bytes, ck) -> bool:
         """Persist an already-packed VBK1 envelope under ``key``.
 
         This is the insert primitive the compile farm uses: the leader
         stores the exact envelope bytes a worker shipped back, with no
         re-serialization, so the on-disk entry is byte-identical to the
-        cold response.
+        cold response.  ``ck`` is the kernel those bytes encode (the one
+        the caller is serving); once the write has landed, the hot tier
+        maps the written bytes to it, so the first warm hit reuses its
+        translations instead of unpacking and translating again.
 
         Admission is **reservation-style**: the entry's size is reserved
         against the byte budget — evicting LRU entries as needed — *before*
@@ -570,6 +581,7 @@ class KernelCache:
             self._index[name] = size
             self._bytes += size
             total = self._bytes
+            self._remember(name, data, ck)
         obs.count("cache.puts")
         obs.gauge("cache.bytes", total)
         return True

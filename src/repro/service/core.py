@@ -787,8 +787,10 @@ class KernelService:
                 # kernel is still served.  Only the leader ever
                 # writes: one put per key per cohort — and a farm
                 # compile persists the worker's exact envelope bytes.
+                # Either put seeds the hot tier with ck, so the first
+                # warm hit reuses the translation this request makes.
                 if envelope is not None:
-                    self.cache.put_bytes(key, envelope)
+                    self.cache.put_bytes(key, envelope, ck)
                 else:
                     self.cache.put(key, ck)
             return ck, False, False

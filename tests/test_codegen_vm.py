@@ -18,6 +18,7 @@ the matrix cannot:
 
 from __future__ import annotations
 
+import itertools
 import subprocess
 import sys
 
@@ -27,7 +28,7 @@ import pytest
 import repro.api as api
 from repro.harness.flows import FlowRunner
 from repro.kernels import get_kernel
-from repro.machine import VM
+from repro.machine import VM, codegen
 from repro.machine.codegen import CodegenCode
 from repro.machine.registry import (
     DEFAULT_ENGINE,
@@ -66,10 +67,26 @@ def _codegen_code(runner, name, size, flow="split_vec_gcc4cli",
     return inst, target, ck, ck.translated("codegen", count_ops=count_ops)
 
 
-@pytest.mark.parametrize("name,size", BATCH_CASES)
-def test_batch_path_engages_and_matches_reference(name, size, runner):
+#: SSE has scaled addressing; NEON and AltiVec compute addresses with
+#: shl, which the planner folds into affine nodes.
+BATCH_TARGETS = ("sse", "neon", "altivec")
+
+
+def _batch_params():
+    """(name, size, target) cases; the SSE ids keep their original
+    ``name-size`` form."""
+    for target_name in BATCH_TARGETS:
+        suffix = "" if target_name == "sse" else f"-{target_name}"
+        for name, size in BATCH_CASES:
+            yield pytest.param(name, size, target_name,
+                               id=f"{name}-{size}{suffix}")
+
+
+@pytest.mark.parametrize("name,size,target_name", list(_batch_params()))
+def test_batch_path_engages_and_matches_reference(name, size, target_name,
+                                                  runner):
     inst, target, ck, code = _codegen_code(
-        runner, name, size, count_ops=True
+        runner, name, size, target_name=target_name, count_ops=True
     )
     assert isinstance(code, CodegenCode)
     eng_bufs = runner.make_buffers(inst)
@@ -100,6 +117,73 @@ def test_batch_path_engages_and_matches_reference(name, size, runner):
             buf.read_elements(), eng_bufs[pname].read_elements(),
             err_msg=f"{name}@{size}: array {pname!r} diverged",
         )
+
+
+@pytest.mark.parametrize("failing_chunk", [None, 3])
+def test_batch_chunks_cover_a_trip_longer_than_max_batch(failing_chunk,
+                                                       runner, monkeypatch):
+    """One attempt per loop entry runs a trip longer than _MAX_BATCH as
+    consecutive chunks (saxpy_fp/SSE at n=2048: 511 batchable iterations,
+    chunks of 100).  A chunk that fails after others committed keeps
+    their work and the loop finishes per iteration.  Either way the run
+    is bit-identical to the reference."""
+    monkeypatch.setattr(codegen, "_MAX_BATCH", 100)
+    inst = get_kernel("saxpy_fp").instantiate(2048)
+    target = get_target("sse")
+    ck = runner.compiled(inst, "split_vec_gcc4cli", target)
+    code = codegen.translate(ck.mfunc, target, count_ops=True)
+    if failing_chunk is not None:
+        for plan in code.plans:
+            def check(loads, stores, k, _calls=itertools.count(1),
+                      _check=plan._check_mem):
+                if next(_calls) == failing_chunk:
+                    raise codegen._Bail()
+                _check(loads, stores, k)
+            plan._check_mem = check
+    eng_bufs = runner.make_buffers(inst)
+    eng = code.run(inst.scalar_args, eng_bufs)
+    batches = max(p.batches for p in code.plans)
+    if failing_chunk is None:
+        assert batches == 6
+    else:
+        assert batches == failing_chunk - 1
+    ref_bufs = runner.make_buffers(inst)
+    ref = VM(target).run(ck.mfunc, inst.scalar_args, ref_bufs, count_ops=True)
+    assert (eng.instructions, eng.cycles, dict(eng.op_counts)) == \
+        (ref.instructions, ref.cycles, dict(ref.op_counts))
+    for pname, buf in ref_bufs.items():
+        np.testing.assert_array_equal(
+            buf.read_elements(), eng_bufs[pname].read_elements()
+        )
+
+
+def test_plan_is_attempted_once_per_loop_entry(runner):
+    """A loop too short to batch must not pay a plan call per iteration:
+    saxpy_fp at n=64 runs its vector loop 16 times, and each loop of the
+    kernel is entered once per run."""
+    inst = get_kernel("saxpy_fp").instantiate(64)
+    target = get_target("sse")
+    ck = runner.compiled(inst, "split_vec_gcc4cli", target)
+    code = codegen.translate(ck.mfunc, target)
+    calls = [0] * len(code.plans)
+    for i, plan in enumerate(code.plans):
+        def counted(*args, _i=i, _attempt=plan.attempt):
+            calls[_i] += 1
+            return _attempt(*args)
+        plan.attempt = counted
+    code.run(inst.scalar_args, runner.make_buffers(inst))
+    assert code.plans and max(calls) == 1, calls
+
+
+def test_budget_replay_is_not_in_the_generated_source(runner):
+    """The per-instruction budget replay is built on first overrun, not
+    compiled with every translation; the budget-parity tests in
+    tests/test_threaded_vm.py and above check the traps it raises."""
+    inst = get_kernel("saxpy_fp").instantiate(64)
+    target = get_target("sse")
+    ck = runner.compiled(inst, "split_vec_gcc4cli", target)
+    code = codegen.translate(ck.mfunc, target)
+    assert "budget exceeded" not in code.source
 
 
 def test_batch_path_budget_parity_at_scale(runner):

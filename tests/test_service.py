@@ -17,6 +17,7 @@ import inspect
 import os
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -81,9 +82,9 @@ def _compiled(tmp_path, kernel="saxpy_fp", target="sse"):
 def test_atomic_write_creates_and_replaces(tmp_path):
     path = str(tmp_path / "artifact.bin")
     atomic_write(path, b"first")
-    assert open(path, "rb").read() == b"first"
+    assert Path(path).read_bytes() == b"first"
     atomic_write(path, b"second")
-    assert open(path, "rb").read() == b"second"
+    assert Path(path).read_bytes() == b"second"
     # no temp litter
     assert os.listdir(tmp_path) == ["artifact.bin"]
 
@@ -99,7 +100,7 @@ def test_atomic_write_torn_leaves_destination_untouched(tmp_path):
     assert classify(exc_info.value) == "CacheError[injected]"
     # Destination still the old content; the partial temp file is the
     # only evidence of the crash.
-    assert open(path, "rb").read() == b"good old content"
+    assert Path(path).read_bytes() == b"good old content"
     tmps = [n for n in os.listdir(tmp_path) if n.endswith(".tmp")]
     assert tmps, "expected the partial temp file to remain"
 
@@ -110,7 +111,7 @@ def test_torn_write_count_bounds_failures(tmp_path):
         with pytest.raises(CacheError):
             atomic_write(path, b"x" * 64)
         atomic_write(path, b"recovered")  # second write under plan is fine
-    assert open(path, "rb").read() == b"recovered"
+    assert Path(path).read_bytes() == b"recovered"
 
 
 # -- KernelCache --------------------------------------------------------------
@@ -143,9 +144,7 @@ def test_cache_quarantines_corrupt_entry_and_self_heals(tmp_path):
     cache, key, ck = _compiled(tmp_path)
     cache.put(key, ck)
     path = os.path.join(cache.root, key.filename())
-    data = bytearray(open(path, "rb").read())
-    data[len(data) // 2] ^= 0x40
-    open(path, "wb").write(bytes(data))
+    _corrupt(path)
 
     assert cache.get(key) is None  # classified miss, not an exception
     assert cache.quarantined == 1
@@ -283,7 +282,8 @@ def test_cache_forgets_an_entry_deleted_behind_it(tmp_path):
     entry = b"VBK1" + bytes(104)
     cache = KernelCache(str(tmp_path / "kc"), byte_budget=len(entry))
     gone, fresh = CacheKey(1, "sse", "gcc4cli"), CacheKey(2, "sse", "gcc4cli")
-    assert cache.put_bytes(gone, entry)
+    kernel = object()  # stands in for the kernel the entry encodes
+    assert cache.put_bytes(gone, entry, kernel)
     os.unlink(os.path.join(cache.root, gone.filename()))
 
     assert cache.get(gone) is None
@@ -291,7 +291,7 @@ def test_cache_forgets_an_entry_deleted_behind_it(tmp_path):
     _assert_bytes_consistent(cache)
     # The budget holds exactly one entry: the next put has nothing to
     # evict, because the vanished file no longer counts.
-    assert cache.put_bytes(fresh, entry)
+    assert cache.put_bytes(fresh, entry, kernel)
     assert cache.evictions == 0 and cache.total_bytes() == len(entry)
 
 
@@ -301,11 +301,32 @@ def test_cache_forgets_an_entry_deleted_behind_it(tmp_path):
 def test_cache_hot_tier_returns_one_kernel_for_unchanged_bytes(tmp_path):
     cache, key, ck = _compiled(tmp_path)
     cache.put(key, ck)
-    first = cache.get(key)
-    assert cache.get(key) is first
+    # The put seeded the tier with the kernel it wrote: both reads are
+    # disk-cache hits that the tier answers with that same kernel.
+    assert cache.get(key) is ck
+    assert cache.get(key) is ck
     s = cache.stats()
-    # Both reads are disk-cache hits; the second was answered by the tier.
-    assert s["hits"] == 2 and s["hot_hits"] == 1
+    assert s["hits"] == 2 and s["hot_hits"] == 2
+
+    # A fresh cache over the same directory (a restart) has an empty
+    # tier: its first read unpacks, the second reuses that kernel.
+    cold = KernelCache(cache.root)
+    first = cold.get(key)
+    assert first is not ck and cold.get(key) is first
+    assert cold.stats()["hot_hits"] == 1
+
+
+def test_cache_put_seeds_the_tier_only_when_the_write_lands(tmp_path):
+    cache, key, ck = _compiled(tmp_path)
+    with faults.injected(faults.FaultPlan([faults.CacheTornWrite()])):
+        assert cache.put(key, ck) is False
+    assert key.filename() not in cache._hot
+
+    data = cache_mod.pack_kernel(ck)
+    assert cache.put_bytes(key, data, ck)
+    hot_data, hot_ck = cache._hot[key.filename()]
+    assert hot_data == data and hot_ck is ck
+    assert cache.get(key) is ck and cache.hot_hits == 1
 
 
 def test_cache_hot_tier_yields_to_a_replicas_overwrite(tmp_path):
@@ -319,10 +340,10 @@ def test_cache_hot_tier_yields_to_a_replicas_overwrite(tmp_path):
     assert KernelCache(cache.root).put(key, other)
 
     new = cache.get(key)
-    assert new is not old
+    assert new is not old and new is not other
     assert new.compile_seconds == other.compile_seconds
-    assert cache.hot_hits == 0
-    assert cache.get(key) is new and cache.hot_hits == 1
+    assert cache.hot_hits == 1  # only the read before the overwrite
+    assert cache.get(key) is new and cache.hot_hits == 2
 
 
 def test_cache_hot_tier_never_goes_back_under_a_racing_writer(tmp_path):
@@ -562,17 +583,18 @@ def test_service_counts_and_health(svc):
 
 
 def test_service_warm_hits_translate_once(svc):
-    """Warm requests of one shape share the tier's kernel: only the
-    first hit unpacks and translates, the rest reuse its translation."""
-    assert not svc.handle(_req()).from_cache  # cold compile and put
+    """The cold request's put seeds the tier with the kernel it
+    compiled, so the cold run's translation is the only one: every warm
+    hit of the shape reuses it."""
     n = 6
     with obs.recording(trace=False, metrics=True) as ob:
+        assert not svc.handle(_req()).from_cache  # cold compile and put
         responses = [svc.handle(_req()) for _ in range(n)]
     assert all(r.status == "ok" and r.from_cache for r in responses)
-    assert svc.stats()["cache"]["hot_hits"] == n - 1
+    assert svc.stats()["cache"]["hot_hits"] == n
     metrics = ob.metrics_snapshot()
     assert metrics["vm.translate_seconds"]["count"] == 1
-    assert metrics["cache.hot_hits"]["value"] == n - 1
+    assert metrics["cache.hot_hits"]["value"] == n
 
 
 def test_service_rejects_unknown_kernel_and_flow(svc):
@@ -864,7 +886,7 @@ class TestCacheCorruptionProperty:
                 cache.put(key, ck)
                 path = os.path.join(cache.root, key.filename())
                 cls._prepared = {
-                    "data": open(path, "rb").read(),
+                    "data": Path(path).read_bytes(),
                     "dump": ck.mfunc.dump(),
                     "ck": ck,
                 }

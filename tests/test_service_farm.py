@@ -345,16 +345,18 @@ def test_pack_unpack_kernel_roundtrip_and_corruption(tmp_path):
 
 
 def _envelope(kernel="saxpy_fp", target="sse"):
+    """(VBK1 envelope bytes, the kernel they encode)."""
     runner = FlowRunner()
     inst = get_kernel(kernel).instantiate(SIZE)
-    return pack_kernel(runner.compiled(inst, FLOW, get_target(target)))
+    ck = runner.compiled(inst, FLOW, get_target(target))
+    return pack_kernel(ck), ck
 
 
 def test_oversize_entry_rejected_before_any_write(tmp_path):
-    data = _envelope()
+    data, ck = _envelope()
     cache = KernelCache(str(tmp_path / "kc"), byte_budget=len(data) - 1)
     key = CacheKey(0x1, "sse", "gcc4cli")
-    assert cache.put_bytes(key, data) is False
+    assert cache.put_bytes(key, data, ck) is False
     assert cache.oversize_rejects == 1
     assert os.listdir(cache.root) == []  # no tempfile ever landed
     stats = cache.stats()
@@ -362,11 +364,11 @@ def test_oversize_entry_rejected_before_any_write(tmp_path):
 
 
 def test_reservation_evicts_before_write_and_rolls_back(tmp_path):
-    data = _envelope()
+    data, ck = _envelope()
     cache = KernelCache(str(tmp_path / "kc"), byte_budget=len(data) + 8)
     k1, k2 = CacheKey(0x1, "sse", "gcc4cli"), CacheKey(0x2, "sse", "gcc4cli")
-    assert cache.put_bytes(k1, data)
-    assert cache.put_bytes(k2, data)  # must evict k1 to fit
+    assert cache.put_bytes(k1, data, ck)
+    assert cache.put_bytes(k2, data, ck)  # must evict k1 to fit
     assert cache.get(k1) is None and cache.get(k2) is not None
     stats = cache.stats()
     assert stats["bytes"] <= len(data) + 8
@@ -375,20 +377,22 @@ def test_reservation_evicts_before_write_and_rolls_back(tmp_path):
     # A failed write releases its reservation.
     plan = faults.FaultPlan([faults.CacheTornWrite()])
     with faults.injected(plan):
-        assert cache.put_bytes(CacheKey(0x3, "sse", "gcc4cli"), data) is False
+        assert cache.put_bytes(
+            CacheKey(0x3, "sse", "gcc4cli"), data, ck
+        ) is False
     assert cache.stats()["pending_bytes"] == 0
     assert cache.put_failures == 1
 
 
 def test_concurrent_puts_respect_budget_via_reservations(tmp_path):
-    data = _envelope()
+    data, ck = _envelope()
     cache = KernelCache(str(tmp_path / "kc"),
                         byte_budget=2 * len(data) + 8)
     errs = []
 
     def put(i):
         try:
-            cache.put_bytes(CacheKey(0x100 + i, "sse", "gcc4cli"), data)
+            cache.put_bytes(CacheKey(0x100 + i, "sse", "gcc4cli"), data, ck)
         except Exception as exc:  # pragma: no cover - fail loudly below
             errs.append(exc)
 

@@ -278,48 +278,71 @@ def test_shared_translation_is_reentrant(engine, diff_runner):
     one translation) run from 4 barrier-started threads, on fresh buffers,
     gives the reference interpreter's answer on every run.  The tiny GIL
     switch interval makes the threads interleave inside one run; n=20000
-    is long enough for codegen's batch plans to engage."""
+    is long enough for codegen's batch plans to engage.  Then the same
+    translation overruns its instruction budget from 4 threads at once
+    (codegen builds the overrun replay on first use), and every run
+    raises the reference interpreter's trap."""
     inst = get_kernel("saxpy_fp").instantiate(20000)
     target = get_target("sse")
     ck = diff_runner.compiled(inst, "split_vec_gcc4cli", target)
     ref_bufs = diff_runner.make_buffers(inst)
     ref = VM(target).run(ck.mfunc, inst.scalar_args, ref_bufs)
     expected = {n: b.read_elements() for n, b in ref_bufs.items()}
+    budget = ref.instructions // 2
+    ref_trap = _trap_of(
+        lambda: VM(target, max_instructions=budget).run(
+            ck.mfunc, inst.scalar_args, diff_runner.make_buffers(inst)
+        )
+    )
+    assert ref_trap[0] is VMError
     _engine_run(ck, engine, inst.scalar_args,
                 diff_runner.make_buffers(inst))  # translate before racing
 
     threads, runs = 4, 5
-    barrier = threading.Barrier(threads, timeout=60)
     wrong: list = []
     done: list = []
 
-    def worker(t):
-        barrier.wait()
-        for i in range(runs):
-            bufs = diff_runner.make_buffers(inst)
-            res = _engine_run(ck, engine, inst.scalar_args, bufs)
-            got = (res.value, res.cycles, res.instructions)
-            if got != (ref.value, ref.cycles, ref.instructions):
-                wrong.append((t, i, got))
-            for name, want in expected.items():
-                if not np.array_equal(bufs[name].read_elements(), want):
-                    wrong.append((t, i, f"array {name} mismatch"))
-            done.append((t, i))
+    def complete(t, i):
+        bufs = diff_runner.make_buffers(inst)
+        res = _engine_run(ck, engine, inst.scalar_args, bufs)
+        got = (res.value, res.cycles, res.instructions)
+        if got != (ref.value, ref.cycles, ref.instructions):
+            wrong.append((t, i, got))
+        for name, want in expected.items():
+            if not np.array_equal(bufs[name].read_elements(), want):
+                wrong.append((t, i, f"array {name} mismatch"))
+
+    def overrun(t, i):
+        trap = _trap_of(lambda: _engine_run(
+            ck, engine, inst.scalar_args, diff_runner.make_buffers(inst),
+            max_instructions=budget,
+        ))
+        if trap != ref_trap:
+            wrong.append((t, i, trap))
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        pool = [threading.Thread(target=worker, args=(t,))
-                for t in range(threads)]
-        for th in pool:
-            th.start()
-        for th in pool:
-            th.join(timeout=120)
+        for case, n_runs in ((complete, runs), (overrun, 2)):
+            barrier = threading.Barrier(threads, timeout=60)
+
+            def worker(t, case=case, n_runs=n_runs, barrier=barrier):
+                barrier.wait()
+                for i in range(n_runs):
+                    case(t, i)
+                    done.append((case.__name__, t, i))
+
+            pool = [threading.Thread(target=worker, args=(t,))
+                    for t in range(threads)]
+            for th in pool:
+                th.start()
+            for th in pool:
+                th.join(timeout=120)
+            assert not any(th.is_alive() for th in pool), "a run hung"
     finally:
         sys.setswitchinterval(old)
-    assert not any(th.is_alive() for th in pool), "a run hung"
     assert not wrong, f"{engine}: {len(wrong)} wrong runs, e.g. {wrong[:3]}"
-    assert len(done) == threads * runs, "a run raised"
+    assert len(done) == threads * (runs + 2), "a run raised"
 
 
 # -- injected-fault trap parity (repro.faults) --------------------------------
