@@ -35,7 +35,10 @@ BENCH_KERNELS = (
     "dissolve_fp", "sfir_fp", "interp_fp", "MMM_fp",
     "saxpy_fp", "dscal_fp", "saxpy_dp", "dscal_dp",
 )
-QUICK_KERNELS = ("saxpy_fp", "MMM_fp")
+#: the quick set (CI's smoke run and its per-target codegen gate): a
+#: streaming loop, a reduction and the blocked MMM, whose inner loops are
+#: too short to batch.
+QUICK_KERNELS = ("saxpy_fp", "sfir_fp", "MMM_fp")
 
 FLOW = "split_vec_gcc4cli"
 TARGETS = ("sse", "neon")
@@ -168,7 +171,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="BENCH_vm.json")
     parser.add_argument("--quick", action="store_true",
-                        help="two kernels per target, two repeats (CI "
+                        help="three kernels per target, two repeats (CI "
                         "smoke)")
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--size", type=int, default=None)

@@ -634,25 +634,50 @@ class _Emitter:
         return w.source(), self.names.ns
 
     def _emit_attempt(self, w, bi, site):
-        pname, in_regs, iv_reg, body_bi = site
+        """Call the plan on entry into loop ``bi``, unless the trip left
+        is too short for any batch.  The inline test sees the same IV,
+        bound and step as the plan, so it skips only calls that would
+        bail on ``_MIN_BATCH``; a value it cannot read (an unbound
+        register, a missing spill slot, a value ``int()`` rejects) skips
+        the call and leaves the loop to run normally."""
+        pname, plan = site
+        in_regs = "".join(f"r{s}, " for s in plan.in_slots)
         w.w("if _mh is None:")
         w.depth += 1
         w.w("try:")
-        w.w(
-            _INDENT + f"_t = {pname}.attempt(({', '.join(in_regs)},), "
-            "_sp, _n, _maxi, _bufs)"
-        )
-        w.w("except NameError:")
+        w.w(_INDENT + f"_t = ({pname}.attempt(({in_regs}), _sp, _n, "
+            f"_maxi, _bufs) if {self._trip_test(plan)} else None)")
+        w.w("except (NameError, KeyError, TypeError, ValueError, "
+            "OverflowError):")
         w.w(_INDENT + "_t = None")
         w.w("if _t is not None:")
         w.depth += 1
-        w.w(f"{iv_reg} = _t[0]")
+        w.w(f"r{plan.iv_slot} = _t[0]")
+        for i, (rid, _pos, _j) in enumerate(plan.accs):
+            w.w(f"r{self._slot_of[rid]} = _t[{4 + i}]")
         w.w("_n += _t[1]")
         w.w("_cy += _t[2]")
         if self.count_ops:
             w.w(f"_bc[{bi}] += _t[3]")
-            w.w(f"_bc[{body_bi}] += _t[3]")
+            w.w(f"_bc[{bi + 1}] += _t[3]")
         w.depth -= 2
+
+    def _trip_test(self, plan) -> str:
+        """Python test, true when more than ``_MIN_BATCH`` iterations are
+        left: iteration ``_MIN_BATCH`` (counting from 0) still passes the
+        header's compare.  Exact Python ints, so nothing wraps."""
+        if plan.bound_slot is None:
+            bound = f"r{self._slot_of[plan.bound_id]}"
+        else:
+            bound = f"_sp[{plan.bound_slot!r}]"
+        skind, sval = plan.step_src
+        if skind == "const":
+            far = f"int(r{plan.iv_slot}) + {_MIN_BATCH * sval}"
+        else:
+            step = (f"r{self._slot_of[sval]}" if skind == "reg"
+                    else f"_sp[{sval!r}]")
+            far = f"int(r{plan.iv_slot}) + {_MIN_BATCH} * int({step})"
+        return f"{far} {_PYCMP[plan.cmp_kind]} int({bound})"
 
     def _emit_block(self, w, bi, body, acct):
         """Emit block ``bi``'s accounting and statements; returns its
@@ -757,8 +782,8 @@ class _Emitter:
     def _find_plans(self, bodies, labels, block_at, accounting):
         """Detect batchable counted loops; ``{header_bi: site}``.
 
-        A site is ``(plan_name, in_reg_names, iv_reg_name, body_bi)`` —
-        everything the emitted header needs to call the plan.
+        A site is ``(plan_name, plan)``; the loop's body is block
+        ``header_bi + 1``.
         """
         sites = {}
         for bi in range(len(bodies) - 1):
@@ -767,18 +792,22 @@ class _Emitter:
                 continue
             pname = self.names.bind("_P", (bi,), plan)
             self.plans.append(plan)
-            in_regs = [f"r{s}" for s in plan.in_slots]
-            sites[bi] = (pname, in_regs, f"r{plan.iv_slot}", bi + 1)
+            sites[bi] = (pname, plan)
         return sites
 
     def _plan_for(self, bi, bodies, labels, block_at, accounting):
         """Build a ``_BatchPlan`` for header block ``bi`` if the loop has
-        the canonical counted shape ``[label, cmp, brfalse]`` + a single
-        body block of supported ops branching back; else None."""
+        the canonical counted shape ``[label, cmp, brfalse]`` (or
+        ``[label, spill_ld, cmp, brfalse]`` reloading a spilled bound) +
+        a single body block of supported ops branching back; else None."""
         header = bodies[bi]
-        if len(header) != 3:
+        reload = None
+        if len(header) == 4 and header[1].op == "spill_ld":
+            lab, reload, cmp_ins, brf = header
+        elif len(header) == 3:
+            lab, cmp_ins, brf = header
+        else:
             return None
-        lab, cmp_ins, brf = header
         if lab.op != "label" or cmp_ins.op != "cmp" or brf.op != "brfalse":
             return None
         kind = cmp_ins.imm["op"]
@@ -812,6 +841,8 @@ class _Emitter:
         iv, bound = (ra, rb) if a_w else (rb, ra)
         if not a_w:
             kind = {"lt": "gt", "le": "ge", "gt": "lt", "ge": "le"}[kind]
+        if reload is not None and reload.dst.id != bound.id:
+            return None
         wl = writes[iv.id]
         if len(wl) != 1:
             return None
@@ -851,15 +882,30 @@ class _Emitter:
                 step_src = ("spill", sins.imm["slot"])
             else:
                 return None
+        bound_slot = None
+        if reload is not None:
+            bound_slot = reload.imm["slot"]
+            if bound_slot in spill_sts:
+                return None
 
-        # Only the IV may be read before it is written (loop-carried
-        # registers or spill slots defeat batching).
+        readers: dict[int, list] = {}
+        for pos, ins in enumerate(steps):
+            for j, r in enumerate(ins.srcs):
+                readers.setdefault(r.id, []).append((pos, j))
+
+        # Only the IV and accumulators may be read before they are
+        # written (any other loop-carried register or spill slot defeats
+        # batching).
+        accs: list[tuple[int, int, int]] = []
         seen: set[int] = set()
         seen_spills: set = set()
         for pos, ins in enumerate(steps):
-            for r in ins.srcs:
+            for j, r in enumerate(ins.srcs):
                 if r.id in writes and r.id not in seen and r.id != iv.id:
-                    return None
+                    if not _is_accumulator(r.id, pos, j, steps, writes,
+                                           readers):
+                        return None
+                    accs.append((r.id, pos, j))
             if ins.op == "spill_ld":
                 key = ins.imm["slot"]
                 if key in spill_sts and key not in seen_spills:
@@ -869,15 +915,19 @@ class _Emitter:
             if ins.dst is not None:
                 seen.add(ins.dst.id)
 
-        inv_ids: list[int] = []
+        # Live values the attempt takes from the frame: loop invariants,
+        # the IV, the bound unless the header reloads it, accumulators.
+        in_ids: list[int] = []
         for ins in steps:
             for r in ins.srcs:
-                if r.id not in writes and r.id not in inv_ids:
-                    inv_ids.append(r.id)
-        for r in (iv, bound):
-            if r.id not in inv_ids:
-                inv_ids.append(r.id)
-        pairs = sorted((self._slot_of[rid], rid) for rid in inv_ids)
+                if r.id not in writes and r.id not in in_ids:
+                    in_ids.append(r.id)
+        for rid in [iv.id, bound.id] + [a for a, _, _ in accs]:
+            if rid not in in_ids:
+                in_ids.append(rid)
+        if bound_slot is not None:
+            in_ids.remove(bound.id)
+        pairs = sorted((self._slot_of[rid], rid) for rid in in_ids)
 
         hc, hcyc = accounting[bi]
         bc, bcyc = accounting[bi + 1]
@@ -886,11 +936,13 @@ class _Emitter:
             iv_id=iv.id,
             iv_slot=self._slot_of[iv.id],
             bound_id=bound.id,
+            bound_slot=bound_slot,
             step_src=step_src,
             cmp_kind=kind,
             ivdt=ivdt,
             in_slots=[s for s, _ in pairs],
             in_ids=[rid for _, rid in pairs],
+            accs=accs,
             arr_index=self._arr_index,
             vs=self.vs,
             per_iter_count=hc + bc,
@@ -935,15 +987,49 @@ class _Overrun:
 
 
 #: ops the batch walk understands; anything else in a loop body disables
-#: the plan at translate time (reductions, permutes, library calls, ...).
+#: the plan at translate time (realignment permutes, interleaves,
+#: horizontal reductions, library calls, ...).  Loop-carried sums are
+#: fine when they have an accumulator's shape (:func:`_is_accumulator`);
+#: ``vdot`` is walked only as one.
 _PLAN_OPS = (
     _SCALAR_BIN | _SCALAR_UN | _VECTOR_BIN | _VECTOR_UN | {
         "const", "mov", "lea", "cmp", "select", "cvt", "load", "store",
         "spill_ld", "spill_st", "arr_overlap", "arr_aligned",
         "vconst", "vsplat", "vaffine", "vcmp", "vselect", "vcvt",
         "vload_a", "vload_u", "vstore_a", "vstore_u",
+        "vdot", "vwidenmul", "vpack", "vunpack",
     }
 )
+
+#: accumulating ops and the operand positions that may carry the sum.
+_ACC_OPERANDS = {"add": (0, 1), "vadd": (0, 1), "vdot": (2,)}
+
+
+def _is_accumulator(acc, pos, j, steps, writes, readers) -> bool:
+    """Is register ``acc``, read by operand ``j`` of ``steps[pos]`` before
+    the body writes it, a loop-carried accumulator?
+
+    It must be read exactly once, as the sum operand of an ``add``,
+    ``vadd`` or ``vdot``, and written exactly once, by that op or by a
+    chain of single-use ``mov``\\ s from its result.  Any other reader of
+    the sum (say, a prefix sum that stores its running value) keeps the
+    loop sequential.
+    """
+    op = steps[pos].op
+    if readers[acc] != [(pos, j)] or j not in _ACC_OPERANDS.get(op, ()):
+        return False
+    cur, at = steps[pos].dst.id, pos
+    while len(writes[cur]) == 1:
+        if cur == acc:
+            return True
+        users = readers.get(cur, ())
+        if len(users) != 1:
+            return False
+        at2 = users[0][0]
+        if at2 <= at or steps[at2].op != "mov":
+            return False
+        cur, at = steps[at2].dst.id, at2
+    return False
 
 
 class _Bail(Exception):
@@ -962,12 +1048,14 @@ class _Bail(Exception):
 
 
 class _WalkState:
-    """Per-attempt scratch: the batch width ``k``, the run's array
-    buffers (in declaration order) and a lazy iota."""
+    """Per-walk scratch: the batch width ``k``, the run's array buffers
+    (in declaration order), the accumulators' running values and a lazy
+    iota."""
 
-    def __init__(self, k: int, bufs: tuple):
+    def __init__(self, k: int, bufs: tuple, accs: list):
         self.k = k
         self.bufs = bufs
+        self.accs = accs
         self._idx = None
 
     def idx(self):
@@ -977,6 +1065,10 @@ class _WalkState:
 
 
 _I64 = np.iinfo(np.int64)
+
+#: node of an accumulating op's result: only its ``mov`` chain back to
+#: the accumulator reads it, and a ``mov`` just copies the node.
+_SUM = ("s",)
 
 
 def _cast_inv(v, T):
@@ -1035,13 +1127,15 @@ def _int_operand(node, dt, k):
 
 
 class _BatchPlan:
-    """Batched execution of one counted streaming loop.
+    """Batched execution of one counted loop.
 
     Built at translate time from a canonical header (``label; cmp;
-    brfalse``) plus a single body block that branches back.  The
-    generated code rotates the loop (the body ends with its own copy of
-    the header), so :meth:`attempt` runs once per entry into the loop.
-    It abstractly interprets the body once over nodes —
+    brfalse``, or ``label; spill_ld; cmp; brfalse`` when the bound is
+    reloaded from a slot the body never stores) plus a single body block
+    that branches back.  The generated code rotates the loop (the body
+    ends with its own copy of the header), so :meth:`attempt` runs once
+    per entry into the loop.  It abstractly interprets the body once over
+    nodes —
 
     * ``("i", value)`` — loop-invariant value,
     * ``("a", base, coef, dtype)`` — affine in the iteration index
@@ -1052,28 +1146,34 @@ class _BatchPlan:
     numpy operation.  Loads slice ``k`` strided elements at once; stores
     are deferred, cross-checked against every load/store for unsafe
     overlap, and committed in program order only after the whole walk
-    succeeded, so a bail can never leave memory half-written.  The walk
-    covers ``trip - 1`` iterations (clipped to the remaining instruction
-    budget); the final iteration and the loop exit run through the normal
-    generated blocks, which rematerializes every live register and spill
-    slot bit-identically.
+    succeeded, so a bail can never leave memory half-written.  An
+    accumulator (``accs``: ``(register, op position, operand)``) is the
+    one loop-carried value allowed: its op's ``k`` addends are computed
+    as one batch and folded into the live sum with ``np.add.accumulate``
+    in iteration order, so a float sum rounds exactly as the sequential
+    loop's.  The walk covers ``trip - 1`` iterations (clipped to the
+    remaining instruction budget); the final iteration and the loop exit
+    run through the normal generated blocks, which rematerializes every
+    live register and spill slot bit-identically.
 
     A plan holds no run state: live values, the spill dict and the array
     buffers arrive with each :meth:`attempt`, so runs on several threads
     never see each other's memory.  Only two fields change after
     translation.  ``batches`` counts successful batches, a statistic
-    that concurrent runs may undercount.  ``dead`` is sticky: once a run's own walk proves the loop
-    unbatchable (a structural bail or an unexpected error), later runs
-    skip the attempt.  It never changes a result, only whether the batch
-    path is tried.
+    that concurrent runs may undercount.  ``dead`` is sticky: once a
+    run's own walk proves the loop unbatchable (a structural bail or an
+    unexpected error), later runs skip the attempt.  It never changes a
+    result, only whether the batch path is tried.
     """
 
-    def __init__(self, *, body, iv_id, iv_slot, bound_id, step_src,
-                 cmp_kind, ivdt, in_slots, in_ids, arr_index, vs,
-                 per_iter_count, per_iter_cycles):
+    def __init__(self, *, body, iv_id, iv_slot, bound_id, bound_slot,
+                 step_src, cmp_kind, ivdt, in_slots, in_ids, accs,
+                 arr_index, vs, per_iter_count, per_iter_cycles):
         self.body = body
         self.iv_id = iv_id
         self.iv_slot = iv_slot
+        self.bound_id = bound_id
+        self.bound_slot = bound_slot
         self.step_src = step_src
         self.cmp_kind = cmp_kind
         self.ivdt = ivdt
@@ -1082,7 +1182,9 @@ class _BatchPlan:
         self.in_ids = in_ids
         self._pos = {rid: i for i, rid in enumerate(in_ids)}
         self.iv_pos = self._pos[iv_id]
-        self.bound_pos = self._pos[bound_id]
+        self.accs = accs
+        self._acc_pos = [self._pos[rid] for rid, _, _ in accs]
+        self._acc_at = {pos: (i, j) for i, (_, pos, j) in enumerate(accs)}
         self.arr_index = arr_index
         self.vs = vs
         self.per_iter_count = per_iter_count
@@ -1097,7 +1199,8 @@ class _BatchPlan:
 
     def attempt(self, vals, sp, executed, maxi, bufs):
         """Batch the loop's remaining trip; ``(new_iv, d_count,
-        d_cycles, k)`` for the ``k`` iterations done, or None.
+        d_cycles, k, *sums)`` for the ``k`` iterations done, with each
+        accumulator's value after them, or None.
 
         ``vals`` holds the live values of ``in_slots`` in order; ``sp``
         is the spill dict; ``bufs`` the run's array buffers.  Never
@@ -1119,7 +1222,12 @@ class _BatchPlan:
 
     def _attempt(self, vals, sp, executed, maxi, bufs):
         iv0 = vals[self.iv_pos]
-        bound = vals[self.bound_pos]
+        if self.bound_slot is None:
+            bound = vals[self._pos[self.bound_id]]
+        elif self.bound_slot in sp:
+            bound = sp[self.bound_slot]
+        else:
+            raise _Bail()
         if not isinstance(iv0, (int, np.integer)):
             raise _Bail(dead=True)
         if not isinstance(bound, (int, np.integer)):
@@ -1142,15 +1250,16 @@ class _BatchPlan:
 
         # The plan is tried once per loop entry, so one attempt covers the
         # whole trip in chunks of at most _MAX_BATCH.  Each chunk commits
-        # only after its own walk and checks pass; a later chunk that
-        # fails leaves the committed ones standing and the loop resumes
-        # per iteration from there.
+        # only after its own walk and checks pass, and carries the sums
+        # on to the next; a later chunk that fails leaves the committed
+        # ones standing and the loop resumes per iteration from there.
+        sums = [vals[p] for p in self._acc_pos]
         done = 0
         while done < k:
             c = min(k - done, _MAX_BATCH)
             try:
-                loads, stores = self._walk(
-                    vals, sp, iv0 + done * step, step, c, bufs
+                loads, stores, nxt = self._walk(
+                    vals, sp, iv0 + done * step, step, c, bufs, sums
                 )
                 self._check_mem(loads, stores, c)
             except Exception:
@@ -1158,6 +1267,7 @@ class _BatchPlan:
                     raise
                 break
             self._commit(stores, c)
+            sums = nxt
             self.batches += 1
             done += c
         return (
@@ -1165,6 +1275,7 @@ class _BatchPlan:
             done * self.per_iter_count,
             done * self.per_iter_cycles,
             done,
+            *sums,
         )
 
     def _step(self, vals, sp):
@@ -1206,18 +1317,20 @@ class _BatchPlan:
 
     # -- abstract interpretation over the body --------------------------
 
-    def _walk(self, vals, sp, iv0, step, k, bufs):
+    def _walk(self, vals, sp, iv0, step, k, bufs, sums):
         env = {}
         for rid, pos in self._pos.items():
             env[rid] = ("i", vals[pos])
         env[self.iv_id] = ("a", iv0, step, self.ivdt)
+        if self.bound_slot is not None:
+            env[self.bound_id] = ("i", sp[self.bound_slot])
         wsp: dict = {}
         loads: list = []
         stores: list = []
-        st = _WalkState(k, bufs)
+        st = _WalkState(k, bufs, list(sums))
         for pos, ins in enumerate(self.body):
             self._walk_ins(ins, pos, env, wsp, sp, loads, stores, st)
-        return loads, stores
+        return loads, stores, st.accs
 
     def _buf(self, name, st):
         return st.bufs[self.arr_index[name]]
@@ -1298,6 +1411,12 @@ class _BatchPlan:
         imm = ins.imm
         k = st.k
 
+        acc = self._acc_at.get(pos)
+        if acc is not None:
+            i, j = acc
+            st.accs[i] = self._fold(ins, j, env, st.accs[i], st)
+            env[ins.dst.id] = _SUM
+            return
         if op == "const":
             env[ins.dst.id] = (
                 "i", imm["type"].numpy_dtype.type(imm["value"])
@@ -1669,7 +1788,75 @@ class _BatchPlan:
             env[ins.dst.id] = (node[0], r)
             return
 
+        # Widening and narrowing: emit()'s slicing and astype, applied to
+        # the last (lane) axis of a batch node.
+        if op in ("vunpack", "vwidenmul"):
+            dt = imm["elem"].numpy_dtype
+            nodes = [env[r.id] for r in ins.srcs]
+            xs = [self._vec_operand(n) for n in nodes]
+            m = xs[0].shape[-1]
+            sl = slice(0, m // 2) if imm["half"] == "lo" else slice(m // 2, m)
+            r = xs[0][..., sl].astype(dt)
+            if op == "vwidenmul":
+                r = r * xs[1][..., sl].astype(dt)
+            kind = "i" if all(n[0] == "i" for n in nodes) else "b"
+            env[ins.dst.id] = (kind, r)
+            return
+        if op == "vpack":
+            dt = imm["elem"].numpy_dtype
+            na = env[ins.srcs[0].id]
+            nb = env[ins.srcs[1].id]
+            a = self._vec_operand(na)
+            b = self._vec_operand(nb)
+            if na[0] == "i" and nb[0] == "i":
+                env[ins.dst.id] = ("i", np.concatenate([a, b]).astype(dt))
+                return
+            a, b = (np.broadcast_to(v, (k, v.shape[-1])) for v in (a, b))
+            env[ins.dst.id] = (
+                "b", np.concatenate([a, b], axis=1).astype(dt)
+            )
+            return
+
         raise _Bail(dead=True)
+
+    def _fold(self, ins, j, env, acc, st):
+        """Accumulator op ``ins`` (sum in operand ``j``) run ``k`` times:
+        the ``k`` addends as one batch, then added to ``acc`` one
+        iteration after another by ``np.add.accumulate``.  A pairwise sum
+        would round a float differently.  A NaN addend bails: which of
+        two NaNs an add returns depends on operand order, and numpy's
+        scalar and array adds differ there."""
+        k = st.k
+        if ins.op == "add":
+            dt = ins.imm["type"].numpy_dtype
+            acc = _cast_inv(acc, dt.type)
+            add = self._batch_scalar(env[ins.srcs[1 - j].id], dt, st)
+        else:
+            dt = ins.imm["elem"].numpy_dtype
+            if ins.op == "vadd":
+                add = self._vec_operand(env[ins.srcs[1 - j].id])
+            elif dt.kind in "iu":
+                # vdot: emit()'s widened products, pair-summed per lane
+                # (exact for integers in any layout; a float pair sum's
+                # sign of zero is not, so float vdot stays sequential).
+                a, b = (self._vec_operand(env[r.id]) for r in ins.srcs[:2])
+                w = a.astype(dt) * b.astype(dt)
+                add = w.reshape(w.shape[:-1] + (-1, 2)).sum(axis=-1,
+                                                            dtype=dt)
+            else:
+                raise _Bail(dead=True)
+            if not isinstance(acc, np.ndarray) or acc.ndim != 1:
+                raise _Bail(dead=True)
+        if (acc.dtype != dt or add.dtype != dt
+                or add.shape not in (acc.shape, (k,) + acc.shape)):
+            raise _Bail(dead=True)
+        if dt.kind == "f" and np.isnan(add).any():
+            raise _Bail()
+        rows = np.empty((k + 1,) + acc.shape, dtype=dt)
+        rows[0] = acc
+        rows[1:] = add
+        total = np.add.accumulate(rows, axis=0, dtype=dt)[-1]
+        return total.copy() if acc.ndim else total
 
     # -- memory safety and commit ---------------------------------------
 

@@ -49,14 +49,24 @@ def runner() -> FlowRunner:
 # -- batched fast path --------------------------------------------------------
 
 
-#: streaming kernels whose vector loops run long enough (trip >= 256 at
-#: these sizes) for the batch planner to engage.
+#: kernels whose vector loops run long enough (trip >= 256 at these
+#: sizes) for the batch planner to engage: four streaming loops,
+#: sfir_s16's vdot accumulator and dissolve_s8's widening and narrowing
+#: (whose SSE loop under gcc4cli reloads a spilled bound in its header).
 BATCH_CASES = [
     ("saxpy_fp", 2048),
     ("dscal_dp", 2048),
     ("dissolve_fp", 2048),
     ("mix_streams_s16", 2048),
+    ("sfir_s16", 2048),
+    ("dissolve_s8", 2048),
 ]
+
+#: sfir_fp's f32 vadd accumulator, where fold order shows: at n=3103 a
+#: pairwise sum of the addends rounds differently from the sequential
+#: loop.  AltiVec realigns its ``a[i+2]`` with vperm, which the planner
+#: does not batch.
+FP_SUM_CASE = ("sfir_fp", 3103, ("sse", "neon"))
 
 
 def _codegen_code(runner, name, size, flow="split_vec_gcc4cli",
@@ -75,11 +85,13 @@ BATCH_TARGETS = ("sse", "neon", "altivec")
 def _batch_params():
     """(name, size, target) cases; the SSE ids keep their original
     ``name-size`` form."""
-    for target_name in BATCH_TARGETS:
+    name, size, targets = FP_SUM_CASE
+    cases = [(t, c) for t in BATCH_TARGETS for c in BATCH_CASES]
+    cases += [(t, (name, size)) for t in targets]
+    for target_name, (name, size) in cases:
         suffix = "" if target_name == "sse" else f"-{target_name}"
-        for name, size in BATCH_CASES:
-            yield pytest.param(name, size, target_name,
-                               id=f"{name}-{size}{suffix}")
+        yield pytest.param(name, size, target_name,
+                           id=f"{name}-{size}{suffix}")
 
 
 @pytest.mark.parametrize("name,size,target_name", list(_batch_params()))
@@ -119,16 +131,22 @@ def test_batch_path_engages_and_matches_reference(name, size, target_name,
         )
 
 
-@pytest.mark.parametrize("failing_chunk", [None, 3])
-def test_batch_chunks_cover_a_trip_longer_than_max_batch(failing_chunk,
+@pytest.mark.parametrize("name,failing_chunk", [
+    pytest.param("saxpy_fp", None, id="None"),
+    pytest.param("saxpy_fp", 3, id="3"),
+    pytest.param("sfir_fp", None, id="sfir_fp-None"),
+    pytest.param("sfir_fp", 3, id="sfir_fp-3"),
+])
+def test_batch_chunks_cover_a_trip_longer_than_max_batch(name, failing_chunk,
                                                        runner, monkeypatch):
     """One attempt per loop entry runs a trip longer than _MAX_BATCH as
-    consecutive chunks (saxpy_fp/SSE at n=2048: 511 batchable iterations,
-    chunks of 100).  A chunk that fails after others committed keeps
-    their work and the loop finishes per iteration.  Either way the run
-    is bit-identical to the reference."""
+    consecutive chunks (SSE at n=2048: 511 batchable iterations, chunks
+    of 100).  A chunk that fails after others committed keeps their work
+    and the loop finishes per iteration; sfir_fp's sum crosses from one
+    chunk to the next and resumes from what the committed chunks left.
+    Either way the run is bit-identical to the reference."""
     monkeypatch.setattr(codegen, "_MAX_BATCH", 100)
-    inst = get_kernel("saxpy_fp").instantiate(2048)
+    inst = get_kernel(name).instantiate(2048)
     target = get_target("sse")
     ck = runner.compiled(inst, "split_vec_gcc4cli", target)
     code = codegen.translate(ck.mfunc, target, count_ops=True)
@@ -149,20 +167,19 @@ def test_batch_chunks_cover_a_trip_longer_than_max_batch(failing_chunk,
         assert batches == failing_chunk - 1
     ref_bufs = runner.make_buffers(inst)
     ref = VM(target).run(ck.mfunc, inst.scalar_args, ref_bufs, count_ops=True)
-    assert (eng.instructions, eng.cycles, dict(eng.op_counts)) == \
-        (ref.instructions, ref.cycles, dict(ref.op_counts))
+    assert (eng.value, eng.instructions, eng.cycles, dict(eng.op_counts)) \
+        == (ref.value, ref.instructions, ref.cycles, dict(ref.op_counts))
     for pname, buf in ref_bufs.items():
         np.testing.assert_array_equal(
             buf.read_elements(), eng_bufs[pname].read_elements()
         )
 
 
-def test_plan_is_attempted_once_per_loop_entry(runner):
-    """A loop too short to batch must not pay a plan call per iteration:
-    saxpy_fp at n=64 runs its vector loop 16 times, and each loop of the
-    kernel is entered once per run."""
-    inst = get_kernel("saxpy_fp").instantiate(64)
-    target = get_target("sse")
+def _plan_calls(runner, name, size, target_name):
+    """Calls of each plan's ``attempt`` in one run, and the plans."""
+    kernel = get_kernel(name)
+    inst = kernel.instantiate(size or kernel.default_size)
+    target = get_target(target_name)
     ck = runner.compiled(inst, "split_vec_gcc4cli", target)
     code = codegen.translate(ck.mfunc, target)
     calls = [0] * len(code.plans)
@@ -172,7 +189,29 @@ def test_plan_is_attempted_once_per_loop_entry(runner):
             return _attempt(*args)
         plan.attempt = counted
     code.run(inst.scalar_args, runner.make_buffers(inst))
-    assert code.plans and max(calls) == 1, calls
+    return calls, code.plans
+
+
+def test_plan_is_attempted_once_per_loop_entry(runner):
+    """A plan is called at most once per entry into its loop, and not at
+    all when the trip left is too short to batch.  saxpy_fp/SSE enters
+    each of its loops once per run: at n=64 no loop is long enough, at
+    n=2048 only the vector loop is, and it batches from its one call."""
+    calls, plans = _plan_calls(runner, "saxpy_fp", 64, "sse")
+    assert plans and calls == [0] * len(plans), calls
+    calls, plans = _plan_calls(runner, "saxpy_fp", 2048, "sse")
+    assert sorted(calls) == [0] * (len(plans) - 1) + [1], calls
+    assert [p.batches for p in plans] == calls
+
+
+@pytest.mark.parametrize("target_name", ["sse", "neon"])
+def test_short_trips_skip_the_plan_call(target_name, runner):
+    """MMM_fp's inner loops are shorter than _MIN_BATCH at the default
+    size, and it enters them hundreds of times per run: the header's
+    inline trip test skips every call, with the step read from a spill
+    slot (SSE) or from a register (NEON)."""
+    calls, plans = _plan_calls(runner, "MMM_fp", None, target_name)
+    assert plans and calls == [0] * len(plans), calls
 
 
 def test_budget_replay_is_not_in_the_generated_source(runner):
@@ -188,27 +227,34 @@ def test_budget_replay_is_not_in_the_generated_source(runner):
 
 def test_batch_path_budget_parity_at_scale(runner):
     """A budget landing *inside* a batched region must trap on exactly the
-    reference instruction (the plan clamps batches to budget room)."""
-    inst, target, ck, code = _codegen_code(runner, "saxpy_fp", 2048)
-    full = code.run(inst.scalar_args, runner.make_buffers(inst))
-    n = full.instructions
-    for budget in (n // 2, n // 2 + 13, n - 1):
-        ref_err = eng_err = None
-        try:
-            VM(target, max_instructions=budget).run(
-                ck.mfunc, inst.scalar_args, runner.make_buffers(inst)
+    reference instruction (the plan clamps batches to budget room), in a
+    streaming loop (saxpy_fp) and in a reduction (sfir_fp)."""
+    for name in ("saxpy_fp", "sfir_fp"):
+        inst, target, ck, code = _codegen_code(runner, name, 2048)
+        full = code.run(inst.scalar_args, runner.make_buffers(inst))
+        n = full.instructions
+        for budget in (n // 2, n // 2 + 13, n - 1):
+            ref_err = eng_err = None
+            try:
+                VM(target, max_instructions=budget).run(
+                    ck.mfunc, inst.scalar_args, runner.make_buffers(inst)
+                )
+            except Exception as exc:  # noqa: BLE001 - comparing trap identity
+                ref_err = (type(exc), str(exc))
+            batches = sum(p.batches for p in code.plans)
+            try:
+                code.run(
+                    inst.scalar_args, runner.make_buffers(inst),
+                    max_instructions=budget,
+                )
+            except Exception as exc:  # noqa: BLE001
+                eng_err = (type(exc), str(exc))
+            where = f"{name}: budget {budget}/{n}"
+            assert ref_err is not None, f"{where} did not trap"
+            assert ref_err == eng_err, where
+            assert sum(p.batches for p in code.plans) > batches, (
+                f"{where} ran no batch"
             )
-        except Exception as exc:  # noqa: BLE001 - comparing trap identity
-            ref_err = (type(exc), str(exc))
-        try:
-            code.run(
-                inst.scalar_args, runner.make_buffers(inst),
-                max_instructions=budget,
-            )
-        except Exception as exc:  # noqa: BLE001
-            eng_err = (type(exc), str(exc))
-        assert ref_err is not None, f"budget {budget}/{n} did not trap"
-        assert ref_err == eng_err, f"budget {budget}/{n}"
 
 
 # -- source determinism -------------------------------------------------------

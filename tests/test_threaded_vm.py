@@ -278,11 +278,17 @@ def test_shared_translation_is_reentrant(engine, diff_runner):
     one translation) run from 4 barrier-started threads, on fresh buffers,
     gives the reference interpreter's answer on every run.  The tiny GIL
     switch interval makes the threads interleave inside one run; n=20000
-    is long enough for codegen's batch plans to engage.  Then the same
-    translation overruns its instruction budget from 4 threads at once
-    (codegen builds the overrun replay on first use), and every run
+    is long enough for codegen's batch plans to engage, and sfir_fp's
+    plan carries a sum, which must live in each run's own call.  Then the
+    same translation overruns its instruction budget from 4 threads at
+    once (codegen builds the overrun replay on first use), and every run
     raises the reference interpreter's trap."""
-    inst = get_kernel("saxpy_fp").instantiate(20000)
+    for name in ("saxpy_fp", "sfir_fp"):
+        _race_one_translation(name, engine, diff_runner)
+
+
+def _race_one_translation(name, engine, diff_runner):
+    inst = get_kernel(name).instantiate(20000)
     target = get_target("sse")
     ck = diff_runner.compiled(inst, "split_vec_gcc4cli", target)
     ref_bufs = diff_runner.make_buffers(inst)
@@ -308,9 +314,9 @@ def test_shared_translation_is_reentrant(engine, diff_runner):
         got = (res.value, res.cycles, res.instructions)
         if got != (ref.value, ref.cycles, ref.instructions):
             wrong.append((t, i, got))
-        for name, want in expected.items():
-            if not np.array_equal(bufs[name].read_elements(), want):
-                wrong.append((t, i, f"array {name} mismatch"))
+        for arr, want in expected.items():
+            if not np.array_equal(bufs[arr].read_elements(), want):
+                wrong.append((t, i, f"array {arr} mismatch"))
 
     def overrun(t, i):
         trap = _trap_of(lambda: _engine_run(
@@ -341,8 +347,12 @@ def test_shared_translation_is_reentrant(engine, diff_runner):
             assert not any(th.is_alive() for th in pool), "a run hung"
     finally:
         sys.setswitchinterval(old)
-    assert not wrong, f"{engine}: {len(wrong)} wrong runs, e.g. {wrong[:3]}"
+    assert not wrong, (
+        f"{engine}/{name}: {len(wrong)} wrong runs, e.g. {wrong[:3]}"
+    )
     assert len(done) == threads * (runs + 2), "a run raised"
+    if engine == "codegen":
+        assert any(p.batches for p in ck.translated(engine).plans), name
 
 
 # -- injected-fault trap parity (repro.faults) --------------------------------
