@@ -1,11 +1,10 @@
-"""VM engine throughput: reference interpreter vs threaded vs codegen.
+"""VM engine throughput: reference interpreter vs codegen.
 
 Measures wall-clock and instructions/second for the same compiled kernels
 under the decode-per-instruction reference interpreter
-(:class:`repro.machine.VM`), the pre-decoded threaded engine
-(:mod:`repro.machine.threaded`), and the source-generating codegen engine
-(:mod:`repro.machine.codegen`).  All three are differential-tested to be
-bit-identical (``tests/test_threaded_vm.py``), so this file measures the
+(:class:`repro.machine.VM`) and the source-generating codegen engine
+(:mod:`repro.machine.codegen`).  The two are differential-tested to be
+bit-identical (``tests/test_engine_parity.py``), so this file measures the
 *only* way they are allowed to differ: host-machine speed.
 
 Standalone::
@@ -14,11 +13,11 @@ Standalone::
 
 or through pytest-benchmark (``pytest benchmarks/bench_vm_throughput.py``).
 The JSON payload records per-kernel seconds, instructions/second for each
-engine, the one-time translation cost, and the geometric-mean speedups,
-over all rows and per target.  Every kernel runs on SSE, which has scaled
-addressing, and on NEON, which computes addresses with shifts: codegen
-batches a loop only when it can follow its addresses, so an SSE-only
-table would hide a target where it cannot.
+engine, codegen's one-time translation cost, and the geometric-mean
+speedups, over all rows and per target.  Every kernel runs on SSE, which
+has scaled addressing, and on NEON, which computes addresses with shifts:
+codegen batches a loop only when it can follow its addresses, so an
+SSE-only table would hide a target where it cannot.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ BENCH_KERNELS = (
     "dissolve_fp", "sfir_fp", "interp_fp", "MMM_fp",
     "saxpy_fp", "dscal_fp", "saxpy_dp", "dscal_dp",
 )
-#: the quick set (CI's smoke run and its per-target codegen gate): a
+#: the quick set (CI's smoke run and its per-target speedup gate): a
 #: streaming loop, a reduction and the blocked MMM, whose inner loops are
 #: too short to batch.
 QUICK_KERNELS = ("saxpy_fp", "sfir_fp", "MMM_fp")
@@ -71,7 +70,7 @@ def _best_of_interleaved(repeats, *fns):
 
 
 def measure(kernel_names=BENCH_KERNELS, size=None, repeats=3):
-    """Time the three engines over ``kernel_names`` on every target of
+    """Time both engines over ``kernel_names`` on every target of
     :data:`TARGETS`; returns the payload dict."""
     from repro.harness.flows import FlowRunner
     from repro.kernels import get_kernel
@@ -90,27 +89,22 @@ def measure(kernel_names=BENCH_KERNELS, size=None, repeats=3):
             # translation is one-time; report it but keep it out of the
             # steady-state timing (CompiledKernel caches it, like a sweep
             # does)
-            t_translate_start = time.perf_counter()
-            code = ck.translated("threaded")
-            t_translate = time.perf_counter() - t_translate_start
             t_cg_start = time.perf_counter()
             cg = ck.translated("codegen")
             t_cg_translate = time.perf_counter() - t_cg_start
 
-            probe = code.run(inst.scalar_args, runner.make_buffers(inst))
+            probe = cg.run(inst.scalar_args, runner.make_buffers(inst))
             instructions = probe.instructions
-            # warm the remaining paths too
-            cg.run(inst.scalar_args, runner.make_buffers(inst))
+            # warm the reference path too
             VM(target).run(
                 ck.mfunc, inst.scalar_args, runner.make_buffers(inst)
             )
 
-            t_ref, t_thr, t_cg = _best_of_interleaved(
+            t_ref, t_cg = _best_of_interleaved(
                 repeats,
                 lambda: VM(target).run(
                     ck.mfunc, inst.scalar_args, runner.make_buffers(inst)
                 ),
-                lambda: code.run(inst.scalar_args, runner.make_buffers(inst)),
                 lambda: cg.run(inst.scalar_args, runner.make_buffers(inst)),
             )
             rows.append({
@@ -119,42 +113,32 @@ def measure(kernel_names=BENCH_KERNELS, size=None, repeats=3):
                 "target": target_name,
                 "instructions": instructions,
                 "reference_seconds": round(t_ref, 6),
-                "threaded_seconds": round(t_thr, 6),
                 "codegen_seconds": round(t_cg, 6),
-                "translate_seconds": round(t_translate, 6),
                 "codegen_translate_seconds": round(t_cg_translate, 6),
                 "reference_ips": round(instructions / t_ref),
-                "threaded_ips": round(instructions / t_thr),
                 "codegen_ips": round(instructions / t_cg),
-                "speedup": round(t_ref / t_thr, 2),
                 "codegen_speedup": round(t_ref / t_cg, 2),
-                "codegen_vs_threaded": round(t_thr / t_cg, 2),
             })
 
     total_instr = sum(r["instructions"] for r in rows)
     total_ref = sum(r["reference_seconds"] for r in rows)
-    total_thr = sum(r["threaded_seconds"] for r in rows)
     total_cg = sum(r["codegen_seconds"] for r in rows)
 
     return {
         "benchmark": "vm_throughput",
-        "engines": ["reference", "threaded", "codegen"],
+        "engines": ["reference", "codegen"],
         "rows": rows,
         "total_instructions": total_instr,
         "aggregate_reference_ips": round(total_instr / total_ref),
-        "aggregate_threaded_ips": round(total_instr / total_thr),
         "aggregate_codegen_ips": round(total_instr / total_cg),
-        "aggregate_speedup": round(total_ref / total_thr, 2),
-        "geomean_speedup": _geomean(rows, "speedup"),
         "aggregate_codegen_speedup": round(total_ref / total_cg, 2),
         "geomean_codegen_speedup": _geomean(rows, "codegen_speedup"),
-        "geomean_codegen_vs_threaded": _geomean(rows, "codegen_vs_threaded"),
         # the CI gate reads these: codegen must hold on every target.
         "per_target": {
             t: {
-                key: _geomean([r for r in rows if r["target"] == t], key)
-                for key in ("speedup", "codegen_speedup",
-                            "codegen_vs_threaded")
+                "codegen_speedup": _geomean(
+                    [r for r in rows if r["target"] == t], "codegen_speedup"
+                )
             }
             for t in TARGETS
         },
@@ -176,13 +160,9 @@ def main(argv=None) -> int:
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--size", type=int, default=None)
     parser.add_argument("--min-speedup", type=float, default=None,
-                        help="exit non-zero if geomean threaded speedup is "
-                        "below this")
-    parser.add_argument("--min-codegen-vs-threaded", type=float, default=None,
                         help="exit non-zero if any target's geomean "
-                        "codegen-vs-threaded is below this (the CI quick "
-                        "gate uses 1.0: codegen must never regress below "
-                        "the threaded engine on any target)")
+                        "codegen speedup over the reference interpreter "
+                        "is below this")
     args = parser.parse_args(argv)
 
     kernels = QUICK_KERNELS if args.quick else BENCH_KERNELS
@@ -193,37 +173,25 @@ def main(argv=None) -> int:
         print(f"{r['target']:7s} {r['kernel']:14s} "
               f"{r['instructions']:>9d} instr  "
               f"ref {r['reference_ips']:>9,d} i/s  "
-              f"threaded {r['threaded_ips']:>10,d} i/s "
-              f"({r['speedup']:.2f}x)  "
               f"codegen {r['codegen_ips']:>11,d} i/s "
-              f"({r['codegen_speedup']:.2f}x ref, "
-              f"{r['codegen_vs_threaded']:.2f}x thr)")
+              f"({r['codegen_speedup']:.2f}x ref)")
     print(f"aggregate: ref {payload['aggregate_reference_ips']:,} i/s, "
-          f"threaded {payload['aggregate_threaded_ips']:,} i/s "
-          f"(geomean {payload['geomean_speedup']:.2f}x), "
           f"codegen {payload['aggregate_codegen_ips']:,} i/s "
-          f"(geomean {payload['geomean_codegen_speedup']:.2f}x ref, "
-          f"{payload['geomean_codegen_vs_threaded']:.2f}x threaded)")
+          f"(geomean {payload['geomean_codegen_speedup']:.2f}x ref)")
     for t, g in payload["per_target"].items():
-        print(f"{t}: geomean threaded {g['speedup']:.2f}x ref, codegen "
-              f"{g['codegen_speedup']:.2f}x ref, "
-              f"{g['codegen_vs_threaded']:.2f}x threaded")
+        print(f"{t}: geomean codegen {g['codegen_speedup']:.2f}x ref")
 
     with open(args.out, "w") as f:
         json.dump(payload, f, indent=2)
         f.write("\n")
     print(f"wrote {args.out}")
 
-    if args.min_speedup and payload["geomean_speedup"] < args.min_speedup:
-        print(f"FAIL: geomean speedup {payload['geomean_speedup']} < "
-              f"{args.min_speedup}", file=sys.stderr)
-        return 1
-    if args.min_codegen_vs_threaded:
+    if args.min_speedup:
         for t, g in payload["per_target"].items():
-            if g["codegen_vs_threaded"] < args.min_codegen_vs_threaded:
-                print(f"FAIL: {t} geomean codegen-vs-threaded "
-                      f"{g['codegen_vs_threaded']} < "
-                      f"{args.min_codegen_vs_threaded}", file=sys.stderr)
+            if g["codegen_speedup"] < args.min_speedup:
+                print(f"FAIL: {t} geomean codegen speedup "
+                      f"{g['codegen_speedup']} < {args.min_speedup}",
+                      file=sys.stderr)
                 return 1
     return 0
 
@@ -233,19 +201,15 @@ def test_vm_throughput(benchmark):
     from conftest import once
 
     payload = once(benchmark, lambda: measure(QUICK_KERNELS, repeats=2))
-    benchmark.extra_info["geomean_speedup"] = payload["geomean_speedup"]
-    benchmark.extra_info["threaded_ips"] = payload["aggregate_threaded_ips"]
     benchmark.extra_info["codegen_ips"] = payload["aggregate_codegen_ips"]
     benchmark.extra_info["geomean_codegen_speedup"] = (
         payload["geomean_codegen_speedup"]
     )
-    # Each engine's reason to exist: a healthy multiple over the reference
-    # interpreter, and codegen at least matching threaded (conservative
-    # floors to absorb CI noise).
-    assert payload["geomean_speedup"] >= 3.0
-    assert payload["geomean_codegen_speedup"] >= 6.0
+    # The translating engine's reason to exist: a healthy multiple over
+    # the reference interpreter on every target (a conservative floor to
+    # absorb CI noise).
     for g in payload["per_target"].values():
-        assert g["codegen_vs_threaded"] >= 1.0
+        assert g["codegen_speedup"] >= 6.0
 
 
 if __name__ == "__main__":

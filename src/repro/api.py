@@ -241,8 +241,8 @@ class Pipeline:
         class/instance (default ``gcc4cli``).
     ``engine``
         any name from :func:`repro.machine.registry.engine_names`
-        (``threaded`` / ``codegen`` / ``reference`` built in — all
-        bit-identical; default ``codegen``).
+        (``codegen`` / ``reference`` built in — bit-identical;
+        default ``codegen``).
     ``vectorize``
         False compiles the scalar bytecode directly (flow A/E shape).
     ``force_scalar``

@@ -11,7 +11,7 @@ toolchain:
 * **JIT** (:mod:`repro.jit.materialize`): forced per-idiom lowering
   failures and whole-function materialization failures, exercising
   loop-granularity scalarization fallback and the compile-level retry;
-* **VM** (:mod:`repro.machine.vm` / :mod:`repro.machine.threaded`):
+* **VM** (:mod:`repro.machine.vm` / :mod:`repro.machine.codegen`):
   memory faults on the N-th memory access — raised identically by both
   engines — and base misalignment, exercising trap classification;
 * **harness** (:mod:`repro.harness.parallel`): simulated worker crashes

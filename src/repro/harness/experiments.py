@@ -72,7 +72,7 @@ def _runner(overrides=None, **kw) -> FlowRunner:
 
 
 #: Figure 5 problem-size multiplier for the Table 2 media/DSP kernels.
-#: The threaded-code engine made the VM fast enough to run the sweep at
+#: The translating engine makes the VM fast enough to run the sweep at
 #: sizes closer to the paper's; ``quick=True`` (CI) keeps the historical
 #: default sizes.  PolyBench kernels keep their defaults either way (they
 #: are O(n^2)/O(n^3) in the size parameter).

@@ -121,9 +121,8 @@ class FlowRunner:
     ``engine`` selects the execution engine by registry name:
     ``"codegen"`` (default, :data:`~repro.machine.registry.DEFAULT_ENGINE`)
     runs generated Python source with batched loops
-    (:mod:`repro.machine.codegen`), ``"threaded"`` pre-decoded closure
-    code (:mod:`repro.machine.threaded`), ``"reference"`` the
-    decode-per-instruction reference interpreter.  All are
+    (:mod:`repro.machine.codegen`), ``"reference"`` the
+    decode-per-instruction reference interpreter.  The two are
     differential-tested to be bit-identical (cycles, values, op counts),
     so every figure/table is engine-independent.
 

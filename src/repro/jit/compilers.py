@@ -21,6 +21,7 @@ scalar x86 floats  x87 (extra cost)           SSE scalar
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -44,6 +45,12 @@ from .materialize import (
 )
 
 __all__ = ["CompiledKernel", "MonoJIT", "OptimizingJIT", "NativeBackend"]
+
+#: serializes translation across every kernel, so callers that reach one
+#: kernel at once (single-flight followers, warm hits on one hot-tier
+#: entry) share one translation instead of each building its own.  A
+#: memo hit never takes it.
+_TRANSLATE_LOCK = threading.Lock()
 
 
 @dataclass
@@ -79,10 +86,12 @@ class CompiledKernel:
         metric.  A kernel served from the
         :class:`~repro.service.cache.KernelCache` hot tier is shared by
         every warm hit on its entry, so its translations live as long as
-        that tier entry.  The translation holds no run state, so every
-        caller sharing this kernel may run it at once.  Raises
-        ``ValueError`` for engines without a ``translate`` callable
-        (e.g. the reference interpreter).
+        that tier entry.  Callers that miss the memo at once translate
+        once between them (``_TRANSLATE_LOCK``) and share the result; the
+        translation holds no run state, so every caller sharing this
+        kernel may run it at once.  Raises ``ValueError`` for engines
+        without a ``translate`` callable (e.g. the reference
+        interpreter).
         """
         key = (engine, count_ops)
         code = self._translations.get(key)
@@ -94,10 +103,15 @@ class CompiledKernel:
                 raise ValueError(
                     f"engine {engine!r} has no translate step"
                 )
-            t0 = time.perf_counter()
-            code = eng.translate(self.mfunc, self.target, count_ops)
-            obs.observe("vm.translate_seconds", time.perf_counter() - t0)
-            self._translations[key] = code
+            with _TRANSLATE_LOCK:
+                code = self._translations.get(key)
+                if code is None:
+                    t0 = time.perf_counter()
+                    code = eng.translate(self.mfunc, self.target, count_ops)
+                    obs.observe(
+                        "vm.translate_seconds", time.perf_counter() - t0
+                    )
+                    self._translations[key] = code
         return code
 
 

@@ -1,7 +1,6 @@
 """Machine layer: flat machine IR, memory model, cycle-cost VM and its
-faster engines (threaded code, generated source), the pluggable engine
-registry, register allocation models, and the IACA-style static
-analyzer."""
+source-generating engine, the pluggable engine registry, register
+allocation models, and the IACA-style static analyzer."""
 
 from .codegen import CodegenCode
 from .flatten import FlattenOptions, flatten
@@ -17,7 +16,6 @@ from .registry import (
     register_engine,
     unregister_engine,
 )
-from .threaded import ThreadedCode, translate
 from .vm import VM, RunResult, VMError
 
 __all__ = [
@@ -35,9 +33,7 @@ __all__ = [
     "VM",
     "VMError",
     "RunResult",
-    "ThreadedCode",
     "CodegenCode",
-    "translate",
     "Engine",
     "register_engine",
     "unregister_engine",

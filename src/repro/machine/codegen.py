@@ -1,16 +1,16 @@
 """Source-generating execution engine: MIR -> Python superinstructions.
 
-The third VM engine (ROADMAP item 2).  Where the threaded engine
-(:mod:`repro.machine.threaded`) pre-decodes every instruction into one
-closure and still pays a Python call per instruction, this engine
-**generates Python source** for the whole function:
+The translating VM engine.  Where the reference interpreter
+(:mod:`repro.machine.vm`) re-decodes every instruction on every
+execution, this engine translates a function once and **generates Python
+source** for the whole of it:
 
 * each basic block becomes one straight-line run of statements inside a
   single ``compile()``d function — zero per-instruction dispatch, no
   closure calls, virtual registers bound as plain locals (``r0``,
   ``r1``, ...) and immediates folded into the source;
-* block accounting is shared with the threaded engine via
-  :mod:`repro.machine.blocks`: one pre-summed ``_cy += <const>`` /
+* each block's accounting is pre-aggregated at translate time
+  (:func:`block_accounting`): one pre-summed ``_cy += <const>`` /
   ``_n += <count>`` per block; a block that would cross the instruction
   budget is replayed per instruction with per-instruction budget checks
   (:class:`_Overrun` generates that replay on first use), so the trap
@@ -27,9 +27,12 @@ closure and still pays a Python call per instruction, this engine
   memory write*, and normal per-block execution reproduces the
   reference behaviour, traps included.
 
-Cycle parity is exact for the same reason as the threaded engine's:
-every per-op cost is a small dyadic rational (a multiple of 0.5), so
-float addition is exact and charging ``k * block_cycles`` equals the
+Cycle parity with the reference interpreter is exact by construction:
+a block's sum adds exactly the terms the reference adds; the x87
+scalar-FP surcharge depends only on static instruction properties
+(opcode + immediate type), so it folds into the block sums; and every
+per-op cost is a small dyadic rational (a multiple of 0.5), so float
+addition is exact and charging ``k * block_cycles`` equals the
 sequential sum.  Fault injection is honored by construction: every
 memory access in generated code checks the ``faults.mem_hook`` first,
 and batch plans only run while no hook is installed.
@@ -46,6 +49,7 @@ source (the PR 8 warm-byte-identity invariant).
 
 from __future__ import annotations
 
+import operator
 import threading
 from collections import Counter
 
@@ -53,14 +57,13 @@ import numpy as np
 
 from .. import faults
 from ..ir.types import ScalarType
-from ..targets.base import Target
-from .blocks import TERMINATORS, block_accounting, loop_depths, partition
+from ..targets.base import X87_FP_EXTRA, Target
 from .memory import GUARD_BYTES, ArrayBuffer
 from .mir import MFunction, MInstr
-from .threaded import _CMP_OPERATORS, _I8_ONE, _I8_ZERO
 from .vm import (
     _BIN_FUNCS,
     _CMP,
+    _FP_SCALAR_OPS,
     _SCALAR_BIN,
     _SCALAR_UN,
     _UN_FUNCS,
@@ -75,6 +78,19 @@ __all__ = ["CodegenCode", "translate"]
 
 #: Python comparison operators per cmp kind (generated inline).
 _PYCMP = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=", "gt": ">", "ge": ">="}
+
+#: branch-predicate comparisons on invariant scalars in the batch walk;
+#: ``a < b`` on numpy scalars dispatches to the same ufunc as
+#: ``np.less`` and is substantially cheaper to call.
+_CMP_OPERATORS = {
+    "eq": operator.eq, "ne": operator.ne, "lt": operator.lt,
+    "le": operator.le, "gt": operator.gt, "ge": operator.ge,
+}
+
+#: shared immutable numpy scalars for predicate results (numpy scalars are
+#: immutable, so reusing them is indistinguishable from fresh boxing).
+_I8_ZERO = np.int8(0)
+_I8_ONE = np.int8(1)
 
 #: a batch must cover at least this many iterations to be worth taking:
 #: the abstract walk costs one numpy call per body instruction, which only
@@ -95,6 +111,75 @@ def _escape_pct(text: str) -> str:
     return text.replace("%", "%%")
 
 
+# -- basic blocks ---------------------------------------------------------
+
+#: control-transfer opcodes that end a basic block.
+TERMINATORS = ("br", "brtrue", "brfalse", "ret")
+
+
+def partition(instrs) -> tuple[list[int], dict[int, int]]:
+    """Partition a flat instruction list into basic blocks.
+
+    Leaders are the entry point, every ``label``, and every instruction
+    following a terminator.  Returns ``(starts, block_at)`` where
+    ``starts`` is the sorted list of leader indices and ``block_at`` maps
+    a leader's instruction index to its block index.
+    """
+    n = len(instrs)
+    leaders = {0}
+    for i, ins in enumerate(instrs):
+        if ins.op == "label":
+            leaders.add(i)
+        elif ins.op in TERMINATORS:
+            leaders.add(i + 1)
+    leaders.discard(n)
+    starts = sorted(leaders)
+    return starts, {s: bi for bi, s in enumerate(starts)}
+
+
+def block_accounting(body, cost, x87: bool) -> tuple[float, dict[str, int]]:
+    """Pre-aggregate one block's ``(cycle_sum, per_op_counts)``.
+
+    Each instruction costs its opcode's cycles plus, on an x87 function,
+    the scalar-FP surcharge, which depends only on the opcode and the
+    immediate type and so folds into the sum at translate time.
+    """
+    cycles = 0.0
+    op_counts: Counter[str] = Counter()
+    for ins in body:
+        c = cost.get(ins.op)
+        if x87 and ins.op in _FP_SCALAR_OPS:
+            t = ins.imm.get("type")
+            if isinstance(t, ScalarType) and t.is_float:
+                c += X87_FP_EXTRA
+        cycles += c
+        op_counts[ins.op] += 1
+    return cycles, dict(op_counts)
+
+
+def loop_depths(starts, instrs, labels, block_at) -> list[int]:
+    """Static loop depth per block, from backward-branch ranges.
+
+    Every branch from block ``b`` back to an earlier (or the same) block
+    ``h`` marks the layout range ``[h, b]`` as one loop level.  The MIR
+    produced by :mod:`repro.machine.flatten` is fully structured, so
+    layout ranges coincide with loop bodies; the engine uses the depths
+    only to order its dispatch chain (hot blocks first), so an imprecise
+    depth can never affect correctness.
+    """
+    n = len(instrs)
+    depths = [0] * len(starts)
+    for bi, s in enumerate(starts):
+        e = starts[bi + 1] if bi + 1 < len(starts) else n
+        term = instrs[e - 1]
+        if term.op in ("br", "brtrue", "brfalse"):
+            tk = block_at[labels[term.imm["label"]]]
+            if tk <= bi:
+                for j in range(tk, bi + 1):
+                    depths[j] += 1
+    return depths
+
+
 class _Ns:
     """Deterministic namespace for the generated module.
 
@@ -110,8 +195,8 @@ class _Ns:
             "_np": np,
             "_F": faults,
             "_VMError": VMError,
-            "_i0": np.int8(0),
-            "_i1": np.int8(1),
+            "_i0": _I8_ZERO,
+            "_i1": _I8_ONE,
         }
         self._memo: dict[tuple, str] = {}
         self._counters: dict[str, int] = {}
@@ -153,9 +238,11 @@ class _Writer:
 class _Emitter:
     """Translates one ``MFunction`` into Python source + namespace.
 
-    The per-op emission mirrors the threaded engine's closures statement
-    for statement (same numpy calls, same check order, same messages), so
-    values and traps are identical by construction.
+    The per-op emission follows the reference interpreter's semantics
+    (:mod:`repro.machine.vm`) statement for statement: the same op
+    tables, the same ``dt.type(a)`` operand normalization, the same check
+    order and the same messages, so values and traps are identical by
+    construction.
     """
 
     def __init__(self, mfunc: MFunction, target: Target, count_ops: bool):
@@ -186,7 +273,9 @@ class _Emitter:
         return self.names.bind("_T", (dt.str,), dt.type)
 
     def _guard(self, expr: str, dt: np.dtype) -> str:
-        """Threaded-exact scalar operand normalization as an expression."""
+        """The reference interpreter's scalar operand normalization
+        (``dt.type(a)``) as an expression that skips the call when the
+        operand already has the type."""
         T = self._T(dt)
         return f"({expr} if type({expr}) is {T} else {T}({expr}))"
 
@@ -1072,7 +1161,8 @@ _SUM = ("s",)
 
 
 def _cast_inv(v, T):
-    """The threaded engine's scalar operand normalization."""
+    """The reference interpreter's scalar operand normalization
+    (``T(v)``), skipped when ``v`` already has the type."""
     return v if type(v) is T else T(v)
 
 
@@ -1356,7 +1446,7 @@ class _BatchPlan:
         raise _Bail(dead=True)
 
     def _batch_scalar(self, node, dt, st):
-        """Emulate the threaded engine's per-element ``T(a)``
+        """Emulate the reference interpreter's per-element ``T(a)``
         normalization for a whole batch."""
         T = dt.type
         if node[0] == "i":
@@ -1911,12 +2001,12 @@ class CodegenCode:
     """An :class:`MFunction` translated to compiled Python source.
 
     ``source`` holds the deterministic generated module text (the
-    cross-process determinism test hashes it); :meth:`run` mirrors
-    :meth:`ThreadedCode.run <repro.machine.threaded.ThreadedCode.run>`
-    argument-for-argument.  Like the threaded engine, an instance holds
-    no run state: buffers, live values and a fresh spill dict are
-    arguments of each ``_kernel`` call, so one translation may run from
-    several threads at once.
+    cross-process determinism test hashes it); :meth:`run` takes the
+    arguments of :meth:`VM.run <repro.machine.vm.VM.run>`, with the
+    instruction budget per run.  An instance holds no run state:
+    buffers, live values and a fresh spill dict are arguments of each
+    ``_kernel`` call, so one translation may run from several threads at
+    once.
     """
 
     def __init__(self, mfunc: MFunction, target: Target,

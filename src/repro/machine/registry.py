@@ -1,10 +1,6 @@
 """Pluggable execution-engine registry.
 
-Historically the repo hard-coded its two engines: ``repro.api`` kept a
-frozen ``ENGINES`` tuple and ``execute_phase`` carried a literal
-``if engine == "threaded"`` branch.  Adding the third engine (the
-source-generating :mod:`repro.machine.codegen`) turned that into an API
-redesign: engines now live in this registry, and every dispatch site —
+Engines live in this registry, and every dispatch site —
 :func:`repro.api.resolve_engine` / :func:`repro.api.execute_phase`,
 :class:`repro.api.Pipeline`, :class:`repro.harness.FlowRunner`, the CLI's
 ``--engine`` choices — derives from it.  Registering a new engine makes
@@ -28,29 +24,28 @@ The engine contract
     :class:`~repro.machine.vm.RunResult`.  This is the only required
     callable.  Engines must be *bit-identical* to the reference
     interpreter on values, cycles, instruction counts, op counts, and
-    traps — the differential parity suite (``tests/test_threaded_vm.py``)
+    traps — the differential parity suite (``tests/test_engine_parity.py``)
     is parametrized over every registered engine and enforces exactly
     that.
 
 ``translate(mfunc, target, count_ops=False)``
-    Optional one-time translation (pre-decoding, source generation).
+    Optional one-time translation (codegen's source generation).
     When present, :meth:`CompiledKernel.translated
-    <repro.jit.compilers.CompiledKernel.translated>` caches its result
-    per ``(engine, count_ops)`` and times it into the
-    ``vm.translate_seconds`` metric.  The returned object must expose
+    <repro.jit.compilers.CompiledKernel.translated>` calls it once per
+    ``(engine, count_ops)``, however many threads ask at once, caches
+    the result and times it into the ``vm.translate_seconds`` metric.
+    The returned object must expose
     ``run(scalar_args, arrays, max_instructions=...) -> RunResult``.
 
 A translation must be safe to run from several threads at once.  One
 translated kernel serves every caller holding the compiled kernel
 (single-flight followers receive the leader's), so a run keeps its
 buffers, spill slots and return value in its own call, never on the
-translation.  ``tests/test_threaded_vm.py::
+translation.  ``tests/test_engine_parity.py::
 test_shared_translation_is_reentrant`` runs one shared kernel from four
 threads on every registered engine and enforces it.
 
-Names are looked up at call time, so registration order never matters;
-the built-in engines below register lazily (importing this module does
-not import numpy-heavy engine modules until an engine is actually used).
+Names are looked up at call time, so registration order never matters.
 """
 
 from __future__ import annotations
@@ -58,6 +53,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
+
+from . import codegen
+from .vm import VM
 
 __all__ = [
     "Engine",
@@ -139,9 +137,6 @@ def engine_names() -> tuple[str, ...]:
 
 
 # -- built-in engines ---------------------------------------------------------
-#
-# The closures import lazily so `import repro.machine.registry` stays
-# light; the first *use* of an engine pays its module import.
 
 
 def _run_translated(engine, ck, scalar_args, arrays, *, count_ops=False,
@@ -153,22 +148,8 @@ def _run_translated(engine, ck, scalar_args, arrays, *, count_ops=False,
     return code.run(scalar_args, arrays, max_instructions)
 
 
-def _translate_threaded(mfunc, target, count_ops=False):
-    from .threaded import translate
-
-    return translate(mfunc, target, count_ops)
-
-
-def _translate_codegen(mfunc, target, count_ops=False):
-    from .codegen import translate
-
-    return translate(mfunc, target, count_ops)
-
-
 def _run_reference(ck, scalar_args, arrays, *, count_ops=False,
                    max_instructions=None):
-    from .vm import VM
-
     if max_instructions is None:
         vm = VM(ck.target)
     else:
@@ -177,14 +158,8 @@ def _run_reference(ck, scalar_args, arrays, *, count_ops=False,
 
 
 register_engine(
-    "threaded",
-    translate=_translate_threaded,
-    run=partial(_run_translated, "threaded"),
-    description="pre-decoded closure dispatch, block-level accounting",
-)
-register_engine(
     "codegen",
-    translate=_translate_codegen,
+    translate=codegen.translate,
     run=partial(_run_translated, "codegen"),
     description="MIR->Python superinstruction blocks + batched idioms",
 )

@@ -15,9 +15,9 @@ fault on AltiVec faults here too.
 This module is the *reference* engine: a deliberately simple decode-per-
 instruction interpreter that doubles as the executable specification of
 the opcode set.  The production-speed engine lives in
-:mod:`repro.machine.threaded`; it pre-decodes MIR into specialized Python
-closures and must stay bit-identical to this interpreter (enforced by
-``tests/test_threaded_vm.py``).  The single-source op semantics both
+:mod:`repro.machine.codegen`; it translates MIR into generated Python
+source and must stay bit-identical to this interpreter (enforced by
+``tests/test_engine_parity.py``).  The single-source op semantics both
 engines share live here (``_BIN_FUNCS``/``_UN_FUNCS``/``_CMP``).
 """
 
@@ -67,9 +67,9 @@ class RunResult:
 # -- shared op semantics ------------------------------------------------------
 #
 # One function per canonical opcode, shared by the reference interpreter
-# (via :func:`_binop`/:func:`_unop`) and by the threaded engine's closure
-# factories (:mod:`repro.machine.threaded`).  Keeping a single source of
-# truth is what makes the two engines bit-identical by construction.
+# (via :func:`_binop`/:func:`_unop`) and by the source-generating engine
+# (:mod:`repro.machine.codegen`).  Keeping a single source of truth is
+# what makes the two engines bit-identical by construction.
 
 
 def _trunc_div(a, b, dtype: np.dtype):

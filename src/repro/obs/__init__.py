@@ -16,8 +16,8 @@ One dependency-free subsystem gives every entry point (library facade,
 
 Both are **disabled by default** and near-free when disabled: every call
 site goes through a guarded helper that performs one global ``None``
-check and returns (measured <5% on the threaded-VM throughput benchmark
-by ``benchmarks/bench_obs_overhead.py``, gated in CI).
+check and returns (measured <5% on the served engine's throughput by
+``benchmarks/bench_obs_overhead.py``, gated in CI).
 
 Typical use::
 

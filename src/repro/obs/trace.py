@@ -9,8 +9,8 @@ pipeline phases (``frontend``, ``vectorize``, ``encode``, ``jit``,
 1. **Near-zero cost when disabled.**  No recorder installed means
    :func:`span` returns a shared no-op context manager after one global
    ``None`` check — no Span object, no attribute dict copies, no clock
-   reads.  The disabled-mode overhead on the threaded-VM throughput
-   benchmark is measured by ``benchmarks/bench_obs_overhead.py`` and
+   reads.  The disabled-mode overhead on the served engine's
+   throughput is measured by ``benchmarks/bench_obs_overhead.py`` and
    gated <5% in CI.
 2. **Dependency-free.**  Standard library only (``contextvars``,
    ``threading``, ``json``, ``time``); importable from every layer

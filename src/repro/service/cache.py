@@ -108,8 +108,8 @@ _HEADER_BYTES = len(ENTRY_MAGIC) + 4  # magic + u32le crc32(payload)
 
 #: bound of the in-memory tier of unpacked kernels (see KernelCache.get).
 #: Under tracemalloc (five small split-flow kernels on SSE) an unpacked
-#: kernel takes 50-62 KB, plus 13-23 KB per threaded or 29-52 KB per
-#: codegen translation memoized on it, plus its 4-5 KB of entry bytes.
+#: kernel takes 50-62 KB, plus 29-52 KB per codegen translation memoized
+#: on it, plus its 4-5 KB of entry bytes.
 HOT_ENTRIES = 64
 
 #: cache-key component covering everything that can invalidate an artifact

@@ -112,7 +112,7 @@ def test_resolve_target_accepts_name_and_instance():
 
 
 def test_resolve_engine_validates():
-    assert api.resolve_engine("threaded") == "threaded"
+    assert api.resolve_engine("codegen") == "codegen"
     assert api.resolve_engine("reference") == "reference"
     with pytest.raises(ValueError, match="unknown engine"):
         api.resolve_engine("turbo")
@@ -144,8 +144,8 @@ def test_compile_and_run_matches_numpy():
 
 def test_pipeline_engines_agree():
     x, y = _data()
-    a = Pipeline(engine="threaded").run(SRC, {"n": 64, "alpha": 2.0},
-                                        {"x": x, "y": y})
+    a = Pipeline(engine="codegen").run(SRC, {"n": 64, "alpha": 2.0},
+                                       {"x": x, "y": y})
     b = Pipeline(engine="reference").run(SRC, {"n": 64, "alpha": 2.0},
                                          {"x": x, "y": y})
     assert a.cycles == b.cycles

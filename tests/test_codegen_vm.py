@@ -1,6 +1,6 @@
 """Codegen-engine specifics and the engine-registry API.
 
-The differential matrix (``tests/test_threaded_vm.py``) already proves
+The differential matrix (``tests/test_engine_parity.py``) already proves
 the codegen engine bit-identical to the reference VM at small sizes —
 which, deliberately, exercises the *non*-batched superinstruction path
 (vector trips there are below ``_MIN_BATCH``).  This file covers what
@@ -11,9 +11,10 @@ the matrix cannot:
 * the generated source is byte-stable across processes (no ``id()`` /
   ``hash()`` leakage), so compile caches can key on it;
 * the registry API itself: registration rules, error shapes, and — the
-  point of the redesign — a toy fourth engine becoming selectable end-to-end
+  point of the registry — a toy engine becoming selectable end-to-end
   (``execute_phase``, ``FlowRunner``, CLI ``--engine`` choices) without
-  touching any dispatch site.
+  touching any dispatch site;
+* the translation memo: concurrent first callers translate once.
 """
 
 from __future__ import annotations
@@ -21,12 +22,15 @@ from __future__ import annotations
 import itertools
 import subprocess
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
 import repro.api as api
 from repro.harness.flows import FlowRunner
+from repro.jit import CompiledKernel
 from repro.kernels import get_kernel
 from repro.machine import VM, codegen
 from repro.machine.codegen import CodegenCode
@@ -217,7 +221,7 @@ def test_short_trips_skip_the_plan_call(target_name, runner):
 def test_budget_replay_is_not_in_the_generated_source(runner):
     """The per-instruction budget replay is built on first overrun, not
     compiled with every translation; the budget-parity tests in
-    tests/test_threaded_vm.py and above check the traps it raises."""
+    tests/test_engine_parity.py and above check the traps it raises."""
     inst = get_kernel("saxpy_fp").instantiate(64)
     target = get_target("sse")
     ck = runner.compiled(inst, "split_vec_gcc4cli", target)
@@ -323,10 +327,6 @@ def test_translated_caches_per_engine_and_count_ops(runner):
     cg = ck.translated("codegen")
     assert ck.translated("codegen") is cg
     assert ck.translated("codegen", count_ops=True) is not cg
-    thr = ck.translated("threaded")
-    assert thr is not cg
-    assert ck.translated("threaded") is thr
-    assert ck.translated("threaded", count_ops=True) is not thr
 
 
 def test_reference_engine_has_no_translate(runner):
@@ -337,12 +337,48 @@ def test_reference_engine_has_no_translate(runner):
         ck.translated("reference")
 
 
+def test_concurrent_first_callers_translate_once(runner):
+    """Callers that share one kernel and reach its memo at once
+    (single-flight followers, warm hits on one hot-tier entry) share one
+    translation: four barrier-started threads against a translate step
+    that sleeps make one call and get one object."""
+    inst = get_kernel("saxpy_fp").instantiate(32)
+    shared = runner.compiled(inst, "split_vec_gcc4cli", get_target("sse"))
+    ck = CompiledKernel(shared.mfunc, shared.target, shared.compiler, 0.0)
+    calls = []
+
+    def slow_translate(mfunc, target, count_ops=False):
+        calls.append(count_ops)
+        time.sleep(0.05)
+        return object()
+
+    register_engine("slow-toy", translate=slow_translate, run=_toy_run)
+    try:
+        barrier = threading.Barrier(4, timeout=30)
+        got = []
+
+        def worker():
+            barrier.wait()
+            got.append(ck.translated("slow-toy"))
+
+        pool = [threading.Thread(target=worker) for _ in range(4)]
+        for th in pool:
+            th.start()
+        for th in pool:
+            th.join(timeout=30)
+    finally:
+        unregister_engine("slow-toy")
+    assert len(got) == 4
+    assert len(calls) == 1, calls
+    assert len({id(code) for code in got}) == 1
+
+
 # -- registry API -------------------------------------------------------------
 
 
 def _toy_run(ck, scalar_args, arrays, *, count_ops=False,
              max_instructions=None):
-    """A fourth engine: delegates to the reference interpreter, so it is
+    """A toy engine: delegates to the reference interpreter, so it is
     trivially bit-identical — the point is the *plumbing*."""
     vm = VM(ck.target) if max_instructions is None else VM(
         ck.target, max_instructions
@@ -382,13 +418,13 @@ def test_register_engine_rejects_duplicates(toy_engine):
 def test_get_engine_error_lists_known_names():
     with pytest.raises(ValueError, match="unknown engine"):
         get_engine("warp")
-    with pytest.raises(ValueError, match="threaded"):
+    with pytest.raises(ValueError, match="codegen"):
         get_engine("warp")
 
 
 def test_builtin_registry_shape():
     names = engine_names()
-    assert set(names) >= {"threaded", "codegen", "reference"}
+    assert names == ("codegen", "reference")
     assert DEFAULT_ENGINE in names
     eng = get_engine("codegen")
     assert isinstance(eng, Engine)
@@ -399,7 +435,7 @@ def test_unregister_is_idempotent():
     unregister_engine("never-existed")  # no raise
 
 
-# -- fourth engine, end to end ------------------------------------------------
+# -- a toy engine, end to end -------------------------------------------------
 
 
 def test_toy_engine_selectable_via_execute_phase(toy_engine, runner):
@@ -419,11 +455,11 @@ def test_toy_engine_selectable_via_execute_phase(toy_engine, runner):
 def test_toy_engine_selectable_via_flow_runner(toy_engine):
     inst = get_kernel("saxpy_fp").instantiate(32)
     toy_res = FlowRunner(engine="toy").run(inst, "split_vec_gcc4cli", "sse")
-    thr_res = FlowRunner(engine="threaded").run(
+    cg_res = FlowRunner(engine="codegen").run(
         inst, "split_vec_gcc4cli", "sse"
     )
-    assert toy_res.cycles == thr_res.cycles
-    assert toy_res.checked and thr_res.checked
+    assert toy_res.cycles == cg_res.cycles
+    assert toy_res.checked and cg_res.checked
 
 
 def test_toy_engine_selectable_via_cli(toy_engine, capsys):

@@ -7,8 +7,8 @@ per-op counts, same memory effects — and the same :class:`VMError`
 (message included) on every trap (misalignment, unbound parameters,
 instruction budget).  These tests enforce that contract over the full
 kernel suite, all six targets, and all three online compilers — and they
-are parametrized over the registry, so a future fourth engine inherits
-the whole gate just by registering itself.
+are parametrized over the registry, so a new engine inherits the whole
+gate just by registering itself.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from repro.harness.flows import FlowRunner
 from repro.kernels import all_kernels, get_kernel
 from repro.machine import VM, VMError
 from repro.machine.registry import engine_names, get_engine
-from repro.machine.threaded import translate
 from repro.targets import TARGETS, get_target
 
 #: The three online compilers of Figure 4, as flow names: the Mono-like JIT
@@ -56,7 +55,7 @@ def diff_runner() -> FlowRunner:
     return FlowRunner()
 
 
-def _run_both(runner, inst, flow, target_name, engine="threaded"):
+def _run_both(runner, inst, flow, target_name, engine):
     """Run one compiled kernel through the reference VM and ``engine``;
     returns the two RunResults plus the two buffer sets (for memory
     comparison)."""
@@ -71,17 +70,17 @@ def _run_both(runner, inst, flow, target_name, engine="threaded"):
     return ref, eng, ref_bufs, eng_bufs
 
 
-def _assert_identical(ref, thr, ref_bufs, thr_bufs, what):
-    assert ref.instructions == thr.instructions, what
-    assert ref.cycles == thr.cycles, what
-    assert dict(ref.op_counts) == dict(thr.op_counts), what
+def _assert_identical(ref, eng, ref_bufs, eng_bufs, what):
+    assert ref.instructions == eng.instructions, what
+    assert ref.cycles == eng.cycles, what
+    assert dict(ref.op_counts) == dict(eng.op_counts), what
     if ref.value is None:
-        assert thr.value is None, what
+        assert eng.value is None, what
     else:
-        assert thr.value is not None and ref.value == thr.value, what
+        assert eng.value is not None and ref.value == eng.value, what
     for name, buf in ref_bufs.items():
         a = buf.read_elements()
-        b = thr_bufs[name].read_elements()
+        b = eng_bufs[name].read_elements()
         assert np.array_equal(a, b), f"{what}: array {name} diverged"
 
 
@@ -211,10 +210,9 @@ def test_trap_parity_instruction_budget(engine, diff_runner):
     inst = get_kernel("saxpy_fp").instantiate(32)
     target = get_target("sse")
     ck = diff_runner.compiled(inst, "split_vec_gcc4cli", target)
-    full = ck.translated("threaded").run(
-        inst.scalar_args, diff_runner.make_buffers(inst)
-    )
-    n = full.instructions
+    n = VM(target).run(
+        ck.mfunc, inst.scalar_args, diff_runner.make_buffers(inst)
+    ).instructions
     for budget in (1, 7, n // 3, n // 2 + 1, n - 1):
         ref_trap = _trap_of(
             lambda: VM(target, max_instructions=budget).run(
@@ -260,12 +258,13 @@ def test_trap_parity_budget_vs_alignment_race(budget, engine, diff_runner):
 # -- translation caching ------------------------------------------------------
 
 
-def test_translate_is_reusable(diff_runner):
+@pytest.mark.parametrize("engine", CANDIDATE_ENGINES)
+def test_translate_is_reusable(engine, diff_runner):
     """One translation survives repeated runs with fresh buffers."""
     inst = get_kernel("interp_fp").instantiate(32)
     target = get_target("altivec")
     ck = diff_runner.compiled(inst, "split_vec_gcc4cli", target)
-    code = translate(ck.mfunc, target)
+    code = get_engine(engine).translate(ck.mfunc, target)
     r1 = code.run(inst.scalar_args, diff_runner.make_buffers(inst))
     r2 = code.run(inst.scalar_args, diff_runner.make_buffers(inst))
     assert r1.cycles == r2.cycles
@@ -388,7 +387,8 @@ def test_trap_parity_injected_memory_fault(after, engine, diff_runner):
     assert f"access #{after}" in ref_trap[1]
 
 
-def test_injected_memory_fault_is_marked(diff_runner):
+@pytest.mark.parametrize("engine", CANDIDATE_ENGINES)
+def test_injected_memory_fault_is_marked(engine, diff_runner):
     """Injected traps carry the FaultInjected mixin so chaos campaigns can
     tell them from genuine faults."""
     from repro import faults
@@ -399,17 +399,18 @@ def test_injected_memory_fault_is_marked(diff_runner):
     ck = diff_runner.compiled(inst, "split_vec_gcc4cli", target)
     with faults.injected(faults.FaultPlan([faults.MemFault(after=2)])):
         with pytest.raises(VMError) as exc_info:
-            ck.translated("threaded").run(
-                inst.scalar_args, diff_runner.make_buffers(inst)
+            _engine_run(
+                ck, engine, inst.scalar_args, diff_runner.make_buffers(inst)
             )
     assert isinstance(exc_info.value, FaultInjected)
     assert classify(exc_info.value) == "VMError[injected]"
 
 
-def test_trap_parity_injected_fault_with_misalignment(diff_runner):
+@pytest.mark.parametrize("engine", CANDIDATE_ENGINES)
+def test_trap_parity_injected_fault_with_misalignment(engine, diff_runner):
     """MemFault + misaligned buffers: whichever trap fires first (the
     injected one fires before the alignment check on the same access)
-    must be the same one in both engines."""
+    must be the same one in every engine."""
     from repro import faults
 
     misaligned = FlowRunner(base_misalign=4, check=False)
@@ -425,17 +426,19 @@ def test_trap_parity_injected_fault_with_misalignment(diff_runner):
                 )
             )
         with faults.injected(plan):
-            thr_trap = _trap_of(
-                lambda: ck.translated("threaded").run(
-                    inst.scalar_args, misaligned.make_buffers(inst)
+            eng_trap = _trap_of(
+                lambda: _engine_run(
+                    ck, engine, inst.scalar_args,
+                    misaligned.make_buffers(inst),
                 )
             )
         assert ref_trap[0] is not None, f"after={after}"
         assert issubclass(ref_trap[0], VMError), f"after={after}"
-        assert ref_trap == thr_trap, f"after={after}"
+        assert ref_trap == eng_trap, f"after={after}"
 
 
-def test_mem_hook_dormant_without_plan(diff_runner):
+@pytest.mark.parametrize("engine", CANDIDATE_ENGINES)
+def test_mem_hook_dormant_without_plan(engine, diff_runner):
     """No plan installed -> injection points are no-ops and execution is
     unchanged (same cycles as an untouched runner)."""
     from repro import faults
@@ -445,7 +448,7 @@ def test_mem_hook_dormant_without_plan(diff_runner):
     inst = get_kernel("saxpy_fp").instantiate(32)
     target = get_target("sse")
     ck = diff_runner.compiled(inst, "split_vec_gcc4cli", target)
-    code = ck.translated("threaded")
+    code = ck.translated(engine)
     a = code.run(inst.scalar_args, diff_runner.make_buffers(inst))
     with faults.injected(faults.FaultPlan([faults.MemFault(after=10**9)])):
         b = code.run(inst.scalar_args, diff_runner.make_buffers(inst))

@@ -22,6 +22,7 @@ suite is deterministic on slow CI runners.
 from __future__ import annotations
 
 import random
+import sys
 import threading
 import time
 
@@ -197,23 +198,31 @@ def test_identical_cold_requests_compile_exactly_once_no_cache(size):
     deterministic, not a race.  The cohort then runs the leader's one
     translation at once; at n=20000 each run is long enough for the
     threads to interleave inside it.  With ``retries=0`` a run that saw
-    another's buffers cannot hide behind a retry."""
+    another's buffers cannot hide behind a retry.  The cohort reaches the
+    kernel's translation memo at once, and exactly one of them
+    translates; a short GIL switch interval lets the threads interleave
+    inside that translation, where a duplicate would start."""
     GatedJIT = _gated_jit()
     svc = KernelService(cache_dir=None, workers=8, queue_limit=64,
                         retries=0)
+    old = sys.getswitchinterval()
     try:
-        with _Patched(FLOW, GatedJIT):
+        with obs.recording(trace=False, metrics=True) as ob, \
+                _Patched(FLOW, GatedJIT):
             futures = [svc.submit(_req(size=size)) for _ in range(8)]
             _poll(
                 lambda: svc._singleflight.stats()["followers"] >= 7,
                 what="7 followers to join the flight",
             )
+            sys.setswitchinterval(1e-4)
             GatedJIT.gate.set()
             responses = [f.result(timeout=30) for f in futures]
     finally:
+        sys.setswitchinterval(old)
         svc.close()
 
     assert len(GatedJIT.calls) == 1, "single-flight must do ONE compile"
+    assert ob.metrics_snapshot()["vm.translate_seconds"]["count"] == 1
     assert [r.status for r in responses] == ["ok"] * 8
     assert svc.stats()["retries"] == 0
     assert sum(r.coalesced for r in responses) == 7
