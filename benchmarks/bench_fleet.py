@@ -181,9 +181,9 @@ def measure(n_requests=REQUESTS, n_clients=CLIENTS, seed=0,
 
     cache_dir = tempfile.mkdtemp(prefix="repro-bench-fleet-")
     sup = FleetSupervisor(
-        replicas, cache_dir, farm_workers=0, workers=4,
+        replicas, cache_dir, workers=4,
         queue_limit=max(64, n_requests), max_inflight=max(64, n_requests),
-        marker_ttl_s=1.5, probe_interval_s=0.1, probe_timeout_s=2.0,
+        probe_interval_s=0.1, probe_timeout_s=2.0,
         restart_backoff_base=0.02, restart_backoff_cap=0.1,
         restart_budget=10 ** 9, spawn_timeout_s=120.0, seed=seed,
     )

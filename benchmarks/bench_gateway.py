@@ -196,7 +196,7 @@ def measure(n_requests=REQUESTS, n_clients=CLIENTS, seed=0,
         with obs.recording(trace=trace_out is not None, metrics=True) as ob:
             svc = KernelService(
                 cache_dir=cache_dir, workers=max(8, n_clients),
-                farm_workers=0, queue_limit=max(64, n_requests),
+                queue_limit=max(64, n_requests),
             )
             gw = ThreadedGateway(
                 svc, max_inflight=max(64, 2 * n_clients),

@@ -302,8 +302,6 @@ def _cmd_chaos(args) -> int:
 
     options = {"layers": {"include_harness": args.harness},
                "fleet": {"replicas": args.replicas}}.get(args.profile, {})
-    if args.farm_workers is not None and args.profile != "layers":
-        options["farm_workers"] = args.farm_workers
     report = run_campaign(args.profile, n_faults=args.faults, seed=args.seed,
                           size=args.size, **options)
     print(report.summary())
@@ -332,8 +330,8 @@ def _cmd_chaos(args) -> int:
 def _serve_listen(args, svc) -> int:
     """``serve --listen``: put the network gateway in front of the
     service and serve until SIGTERM/SIGINT, then drain gracefully —
-    readiness flips first, in-flight requests finish, the compile farm
-    shuts down, exit 0 (docs/service.md §8)."""
+    readiness flips first, in-flight requests finish, the service
+    closes, exit 0 (docs/service.md §8)."""
     import asyncio
 
     from .service.client import parse_address
@@ -390,10 +388,7 @@ def _serve_fleet(args) -> int:
     sup = FleetSupervisor(
         replicas=args.replicas,
         cache_dir=cache_dir,
-        farm_workers=args.farm_workers,
         max_inflight=args.max_inflight,
-        marker_ttl_s=args.marker_ttl,
-        farm_budget_s=args.farm_budget,
     )
     try:
         sup.start()
@@ -435,18 +430,11 @@ def _cmd_serve(args) -> int:
     if cache_dir is None:
         tmp_cache = tempfile.mkdtemp(prefix="repro-serve-cache-")
         cache_dir = tmp_cache
-    svc_kwargs = {}
-    if args.marker_ttl is not None:
-        svc_kwargs["marker_ttl_s"] = args.marker_ttl
-    if args.farm_budget is not None:
-        svc_kwargs["farm_budget_s"] = args.farm_budget
     svc = KernelService(
         cache_dir=cache_dir,
         queue_limit=args.queue_limit,
         workers=args.jobs,
-        farm_workers=args.farm_workers,
         seed=args.seed,
-        **svc_kwargs,
     )
     try:
         if args.listen is not None:
@@ -478,12 +466,6 @@ def _cmd_serve(args) -> int:
         sf = stats["singleflight"]
         print(f"singleflight: {sf['leaders']} leader(s), "
               f"{sf['followers']} coalesced follower(s)")
-        if stats["farm"] is not None:
-            fm = stats["farm"]
-            print(f"farm: {fm['workers']} worker(s), "
-                  f"{fm['completed']}/{fm['dispatched']} dispatch(es) "
-                  f"completed, {fm['crashes']} crash(es), "
-                  f"{fm['stalls']} stall(s), {fm['rebuilds']} rebuild(s)")
         print(f"health: {health['status']} "
               f"(queue {health['queue_depth']}/{health['queue_limit']}, "
               f"breakers: "
@@ -614,16 +596,10 @@ def build_parser() -> argparse.ArgumentParser:
                    "'gateway' soaks a live network gateway with "
                    "wire-level hostility (garbage/truncated/slowloris "
                    "frames, torn connections, overload, wire deadlines) "
-                   "plus a graceful-drain and leaked-worker audit; "
+                   "plus a graceful-drain audit; "
                    "'fleet' SIGKILLs supervised replicas mid-compile / "
-                   "mid-cache-write / mid-frame / while holding a .lead "
-                   "marker and audits crash consistency end-to-end")
-    p.add_argument("--farm-workers", type=int, default=None,
-                   help="compile-farm workers of the soaked service "
-                   "(default: 0 for --profile service, 2 for gateway, 1 "
-                   "per replica for fleet); for service, N > 0 also mixes "
-                   "in farm faults (worker crash/stall, stale "
-                   "cross-replica leader markers)")
+                   "mid-cache-write / mid-frame and audits crash "
+                   "consistency end-to-end")
     p.add_argument("--replicas", type=int, default=3,
                    help="for --profile fleet: supervised replica count")
     p.add_argument("--stats-out",
@@ -646,19 +622,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-j", "--jobs", "--workers", type=int, default=4,
                    dest="jobs",
                    help="service worker threads (--workers is an alias)")
-    p.add_argument("--farm-workers", type=int, default=0,
-                   help="compile-farm worker processes (0 = compile "
-                   "inline under the GIL); cold JIT compiles are "
-                   "dispatched cross-process so distinct kernels "
-                   "compile on distinct cores")
     p.add_argument("--queue-limit", type=int, default=32,
                    help="admission-queue bound (requests beyond it shed)")
-    p.add_argument("--marker-ttl", type=float, default=None,
-                   help="cross-replica leader-marker TTL in seconds "
-                   "(stale .lead markers are reclaimed after this)")
-    p.add_argument("--farm-budget", type=float, default=None,
-                   help="per-flight compile budget in seconds for the "
-                   "compile farm")
     p.add_argument("--replicas", type=int, default=0,
                    help="run a supervised fleet of N gateway replicas "
                    "sharing one cache directory instead of a single "

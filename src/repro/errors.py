@@ -31,7 +31,6 @@ class                      layer / meaning
 ``DeadlineError``          service: per-request deadline expired
 ``CircuitOpenError``       service: target short-circuited by its breaker
 ``CacheError``             service: kernel-cache entry unusable (quarantined)
-``FarmError``              service: compile-farm dispatch failed (rerouted)
 ``NetworkError``           gateway wire: framing/CRC/connection/timeout failure
 ``DrainError``             gateway: request rejected while draining for shutdown
 ``FleetError``             supervisor: replica parked / fleet capacity failure
@@ -74,7 +73,6 @@ __all__ = [
     "DeadlineError",
     "CircuitOpenError",
     "CacheError",
-    "FarmError",
     "NetworkError",
     "DrainError",
     "FleetError",
@@ -118,7 +116,6 @@ _HOMES = {
     "DeadlineError": "repro.service.admission",
     "CircuitOpenError": "repro.service.breaker",
     "CacheError": "repro.service.cache",
-    "FarmError": "repro.service.farm",
     "NetworkError": "repro.service.wire",
     "DrainError": "repro.service.gateway",
     "FleetError": "repro.service.supervisor",

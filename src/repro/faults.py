@@ -20,14 +20,7 @@ toolchain:
 * **service cache** (:mod:`repro.service.cache`): torn writes — the
   process "dies" between the partial temp-file write and the atomic
   rename — exercising the crash-safe cache discipline (the destination
-  entry must never be observable half-written) — and stale cross-replica
-  leader markers (a "dead replica" left its advisory ``.lead`` file next
-  to a cache entry), exercising the TTL takeover protocol;
-* **compile farm** (:mod:`repro.service.farm`): the
-  :class:`WorkerCrash`/:class:`WorkerStall` faults also fire inside farm
-  worker processes (the active plan ships with every
-  :class:`~repro.service.farm.CompileJob`), exercising job rerouting
-  after a crashed worker and the per-flight compile-budget watchdog;
+  entry must never be observable half-written);
 * **network gateway** (:mod:`repro.service.gateway`): wire-level faults
   at the TCP front door.  :class:`ConnDrop` fires inside the gateway's
   response writer (the connection is aborted mid-frame, as a crashed
@@ -74,7 +67,6 @@ __all__ = [
     "WorkerCrash",
     "WorkerStall",
     "CacheTornWrite",
-    "StaleMarker",
     "ConnDrop",
     "SlowWire",
     "TruncatedFrame",
@@ -88,7 +80,6 @@ __all__ = [
     "corrupt",
     "worker_fault",
     "cache_torn_write",
-    "stale_marker",
     "wire_conn_drop",
 ]
 
@@ -158,9 +149,8 @@ class MisalignFault:
 class WorkerCrash:
     """Hard-kill (``os._exit``) the worker process that picks up a
     matching unit of work — the process dies mid-task, as a segfault
-    would.  Fires in sweep workers (:mod:`repro.harness.parallel`) and in
-    compile-farm workers (:mod:`repro.service.farm`), where the farm must
-    detect the broken pool and reroute the compile."""
+    would.  Fires in sweep workers (:mod:`repro.harness.parallel`), whose
+    pool must detect the broken worker and quarantine the cell."""
 
     kernel: str = "*"
     flow: str = "*"
@@ -171,10 +161,7 @@ class WorkerCrash:
 class WorkerStall:
     """Stall a matching unit of work (sleep ``seconds``), so the timeout
     machinery must reclaim the worker: the sweep harness's per-cell
-    timeout, or the farm's per-flight compile-budget watchdog.  Small
-    values double as a deterministic model of backend compile latency in
-    benchmarks (the sleep runs on the *worker's* schedule, exactly like
-    native codegen on the worker's core)."""
+    timeout (:mod:`repro.harness.parallel`)."""
 
     kernel: str = "*"
     flow: str = "*"
@@ -187,20 +174,6 @@ class CacheTornWrite:
     partial temp file is produced, the atomic rename never happens, and a
     classified injection-marked :class:`~repro.service.cache.CacheError`
     is raised.  ``count`` bounds how many writes fail (None = all writes
-    under this plan)."""
-
-    count: int | None = 1
-
-
-@dataclass(frozen=True)
-class StaleMarker:
-    """Plant a dead replica's advisory leader marker just before a
-    service claims cross-replica compile leadership: the ``.lead`` file
-    appears next to the cache entry with its mtime aged past the TTL, as
-    if another :class:`~repro.service.KernelService` replica crashed
-    mid-compile without releasing it.  The claimer must detect the stale
-    marker and take leadership over instead of waiting forever.
-    ``count`` bounds how many claims are sabotaged (None = all claims
     under this plan)."""
 
     count: int | None = 1
@@ -367,11 +340,6 @@ class FaultPlan:
         :class:`CacheTornWrite` (re-armed per install)."""
         return self._make_counted_hook(CacheTornWrite)
 
-    def make_stale_marker_hook(self):
-        """A fresh countdown closure for the plan's first
-        :class:`StaleMarker` (re-armed per install)."""
-        return self._make_counted_hook(StaleMarker)
-
     # -- gateway wire layer ---------------------------------------------------
 
     def make_conn_drop_hook(self):
@@ -419,50 +387,40 @@ mem_hook = None
 #: torn-write hook consulted by the service cache's atomic_write.
 torn_write_hook = None
 
-#: stale-marker hook consulted by the cache's cross-replica leader claim.
-stale_marker_hook = None
-
 #: connection-drop hook consulted by the gateway's response writer.
 conn_drop_hook = None
 
 
 def install(plan: FaultPlan) -> FaultPlan:
-    """Install ``plan``; arms fresh memory-fault/torn-write/stale-marker/
+    """Install ``plan``; arms fresh memory-fault/torn-write/
     connection-drop countdowns."""
-    global _ACTIVE, mem_hook, torn_write_hook, stale_marker_hook
-    global conn_drop_hook
+    global _ACTIVE, mem_hook, torn_write_hook, conn_drop_hook
     _ACTIVE = plan
     mem_hook = plan.make_mem_hook()
     torn_write_hook = plan.make_torn_write_hook()
-    stale_marker_hook = plan.make_stale_marker_hook()
     conn_drop_hook = plan.make_conn_drop_hook()
     return plan
 
 
 def uninstall() -> None:
     """Remove any installed plan; every injection point goes dormant."""
-    global _ACTIVE, mem_hook, torn_write_hook, stale_marker_hook
-    global conn_drop_hook
+    global _ACTIVE, mem_hook, torn_write_hook, conn_drop_hook
     _ACTIVE = None
     mem_hook = None
     torn_write_hook = None
-    stale_marker_hook = None
     conn_drop_hook = None
 
 
 @contextmanager
 def injected(plan: FaultPlan):
     """Install ``plan`` for the duration of the ``with`` block."""
-    global _ACTIVE, mem_hook, torn_write_hook, stale_marker_hook
-    global conn_drop_hook
-    prev = (_ACTIVE, mem_hook, torn_write_hook, stale_marker_hook,
-            conn_drop_hook)
+    global _ACTIVE, mem_hook, torn_write_hook, conn_drop_hook
+    prev = (_ACTIVE, mem_hook, torn_write_hook, conn_drop_hook)
     install(plan)
     try:
         yield plan
     finally:
-        (_ACTIVE, mem_hook, torn_write_hook, stale_marker_hook,
-         conn_drop_hook) = prev
+        _ACTIVE, mem_hook, torn_write_hook, conn_drop_hook = prev
 
 
 def active_plan() -> FaultPlan | None:
@@ -500,13 +458,6 @@ def cache_torn_write():
     """Service-cache injection point: the :class:`CacheTornWrite` that
     should fire on this write under the active plan, or None."""
     return None if torn_write_hook is None else torn_write_hook()
-
-
-def stale_marker():
-    """Leader-marker injection point: the :class:`StaleMarker` that
-    should sabotage this cross-replica claim under the active plan, or
-    None."""
-    return None if stale_marker_hook is None else stale_marker_hook()
 
 
 def wire_conn_drop():

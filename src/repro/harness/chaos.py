@@ -25,24 +25,22 @@ profile     what the trials attack
             and a worker stall in a real process pool
 ``service`` a live cache-backed :class:`~repro.service.KernelService`:
             cache corruption, torn writes, JIT and VM faults, overload,
-            expired deadlines, and with ``farm_workers > 0`` farm worker
-            crash/stall and stale leader markers; epilogue: a breaker
-            cycle and a stale serve
+            expired deadlines; epilogue: a breaker cycle and a stale
+            serve
 ``gateway`` the same service behind a live
             :class:`~repro.service.gateway.ThreadedGateway`: garbage,
             truncated and slowloris frames, connections torn
             mid-response, overload, wire deadlines, JIT faults through
-            the wire; epilogue: a graceful drain and a leaked-worker
-            audit
+            the wire; epilogue: a graceful drain
 ``fleet``   a supervised replica fleet over one cache directory:
-            SIGKILL of the shard owner mid-compile, mid-cache-write,
-            holding a ``.lead`` marker and mid-frame, plus cross-replica
-            warm byte-identity; epilogue: flap->park, a shared-cache
-            audit, a killed-pid leak audit, full-capacity readiness
+            SIGKILL of the shard owner mid-compile, mid-cache-write and
+            mid-frame, plus cross-replica warm byte-identity; epilogue:
+            flap->park, a shared-cache audit, a killed-pid leak audit,
+            full-capacity readiness
 =========== ===========================================================
 
 Each profile has its own passing outcomes (``trapped``,
-``degraded-correct``, ``healed``, ``rerouted``, ``killed-through``, ...);
+``degraded-correct``, ``healed``, ``killed-through``, ...);
 anything in :data:`FAILING` makes the campaign fail.  The live profiles
 judge every response in its wire form
 (:func:`~repro.service.wire.response_payload`) against a cold no-cache
@@ -81,20 +79,18 @@ __all__ = [
     "run_campaign",
     "LAYERS",
     "SERVICE_LAYERS",
-    "FARM_LAYERS",
     "GATEWAY_LAYERS",
 ]
 
 #: failing outcome tags (anything else passes).  ``torn-response`` (a
-#: partial or corrupted wire frame accepted as an answer) and
-#: ``leaked-workers`` (farm processes outliving their service) belong to
-#: the gateway profile's invariant; ``torn-cache`` (a shared cache entry
-#: that fails envelope verification after a replica SIGKILL) and
-#: ``stale-lead`` (a dead leader's marker outliving its TTL unreclaimed)
-#: belong to the fleet profile's.
+#: partial or corrupted wire frame accepted as an answer) belongs to the
+#: gateway profile's invariant; ``torn-cache`` (a shared cache entry that
+#: fails envelope verification after a replica SIGKILL) and
+#: ``leaked-workers`` (a killed replica's process still alive) belong to
+#: the fleet profile's.
 FAILING = ("silent-wrong", "wrong-answer", "unclassified-trap",
            "parity-mismatch", "torn-response", "leaked-workers",
-           "torn-cache", "stale-lead")
+           "torn-cache")
 
 _DEFAULT_KERNELS = ("saxpy_fp", "dscal_fp", "interp_fp", "sfir_fp")
 _IDIOMS = ("*", "realign_load", "vstore", "reduc_plus", "init_uniform")
@@ -525,24 +521,18 @@ class _ServiceSoak(_Soak):
 
     mismatch = "wrong-answer"
 
-    def __init__(self, seed: int, size: int, farm_workers: int = 0) -> None:
+    def __init__(self, seed: int, size: int) -> None:
         from ..service import KernelService
 
         super().__init__(seed, size)
         # backoff_base=0 keeps the soak fast and deterministic (no real
         # sleeps); tight breaker knobs make open/half-open/closed cycles
-        # happen organically within a 200-fault campaign.  The tight
-        # farm budget keeps the stall-watchdog trials sub-second.
+        # happen organically within a 200-fault campaign.
         self.svc = KernelService(
             cache_dir=self.root, seed=seed, retries=1,
             backoff_base=0.0, breaker_threshold=2, breaker_cooldown=4,
             queue_limit=16, workers=2,
-            farm_workers=farm_workers, farm_budget_s=0.4,
         )
-        if farm_workers > 0:
-            # Appended after the service layers, so a farm-less campaign
-            # draws exactly the stream it drew before the farm existed.
-            self.table = {**self.table, **self.farm_table}
 
     def close(self) -> None:
         self.svc.close()
@@ -706,74 +696,6 @@ class _ServiceSoak(_Soak):
         return self._judge_deadline("svc-deadline", "deadline_s=0", req,
                                     self._serve(req, deadline_s=0.0))
 
-    # -- compile-farm trials (farm_workers > 0 campaigns only) ----------------
-
-    def farm_crash(self, kernel: str) -> ChaosTrial:
-        """A farm worker dies mid-compile: the pool is rebuilt, the job
-        rerouted inline, the response classified and correct, and the
-        cache entry written afterwards is whole (served next request)."""
-        req = self._payload(kernel, flow="split_vec_gcc4cli")
-        self.svc.evict(kernel, req["flow"], req["target"], size=req["size"])
-        fault = faults.WorkerCrash(kernel=kernel)
-        before = self.svc._farm.crashes
-        with faults.injected(faults.FaultPlan([fault])):
-            resp = self._serve(req)
-        trial = self.judge("svc-farm-crash", repr(fault), req, resp)
-        if not trial.ok:
-            return trial
-        if self.svc._farm.crashes <= before:
-            return ChaosTrial("svc-farm-crash", kernel, repr(fault),
-                              "silent-wrong", "worker crash did not fire")
-        # No torn entry: the rerouted compile's cache entry must verify
-        # and serve (a crash must never poison what the leader persists).
-        trial2 = self.judge("svc-farm-crash", repr(fault), req,
-                            self._serve(req))
-        if not trial2.ok:
-            return trial2
-        return ChaosTrial("svc-farm-crash", kernel, repr(fault),
-                          "rerouted", "pool rebuilt; compiled inline")
-
-    def farm_stall(self, kernel: str) -> ChaosTrial:
-        """A wedged farm worker outlives the compile budget: the
-        watchdog kills the pool and the leader reroutes inline."""
-        req = self._payload(kernel, flow="split_vec_gcc4cli")
-        self.svc.evict(kernel, req["flow"], req["target"], size=req["size"])
-        fault = faults.WorkerStall(kernel=kernel, seconds=30.0)
-        before = self.svc._farm.stalls
-        with faults.injected(faults.FaultPlan([fault])):
-            resp = self._serve(req)
-        trial = self.judge("svc-farm-stall", repr(fault), req, resp)
-        if not trial.ok:
-            return trial
-        if self.svc._farm.stalls <= before:
-            return ChaosTrial("svc-farm-stall", kernel, repr(fault),
-                              "silent-wrong",
-                              "stall watchdog did not fire")
-        return ChaosTrial("svc-farm-stall", kernel, repr(fault),
-                          "rerouted", "budget watchdog killed the worker; "
-                          "compiled inline")
-
-    def stale_marker(self, kernel: str) -> ChaosTrial:
-        """A dead replica's aged leader marker sits next to the entry at
-        claim time: this service must take leadership over (TTL expiry),
-        compile, and serve — never wait forever on a corpse."""
-        req = self._payload(kernel, flow="split_vec_gcc4cli")
-        self.svc.evict(kernel, req["flow"], req["target"], size=req["size"])
-        fault = faults.StaleMarker()
-        before = self.svc.cache.marker_takeovers
-        with faults.injected(faults.FaultPlan([fault])):
-            resp = self._serve(req)
-        trial = self.judge("svc-stale-marker", repr(fault), req, resp)
-        if not trial.ok:
-            return trial
-        if self.svc.cache.marker_takeovers <= before:
-            return ChaosTrial("svc-stale-marker", kernel, repr(fault),
-                              "silent-wrong",
-                              "marker takeover did not fire")
-        return ChaosTrial("svc-stale-marker", kernel, repr(fault),
-                          "marker-takeover",
-                          "aged marker reclaimed; compiled locally")
-
     table = {
         "svc-plain": (20, plain),
         "svc-cache-corrupt": (18, cache_corrupt),
@@ -784,11 +706,6 @@ class _ServiceSoak(_Soak):
         "svc-vm-persistent": (12, lambda s, k: s.vm(k, persistent=True)),
         "svc-overload": (5, overload),
         "svc-deadline": (5, deadline),
-    }
-    farm_table = {
-        "svc-farm-crash": (6, farm_crash),
-        "svc-farm-stall": (4, farm_stall),
-        "svc-stale-marker": (5, stale_marker),
     }
 
     # -- scripted epilogue trials ---------------------------------------------
@@ -865,18 +782,18 @@ class _ServiceSoak(_Soak):
 
 
 class _GatewaySoak(_Soak):
-    """The ``gateway`` profile: a live farm-backed service behind a live
+    """The ``gateway`` profile: a live service behind a live
     :class:`~repro.service.gateway.ThreadedGateway`, one resilient
     client, one no-retry client, and raw-socket hostile peers."""
 
-    def __init__(self, seed: int, size: int, farm_workers: int = 2) -> None:
+    def __init__(self, seed: int, size: int) -> None:
         from ..service import GatewayClient, KernelService, ThreadedGateway
 
         super().__init__(seed, size)
         self.svc = KernelService(
             cache_dir=self.root, seed=seed, retries=1, backoff_base=0.0,
             breaker_threshold=4, breaker_cooldown=3, queue_limit=16,
-            workers=4, farm_workers=farm_workers, farm_budget_s=10.0,
+            workers=4,
         )
         # A short idle timeout keeps the slowloris trials sub-second;
         # drain_grace_s=0 because readiness-vs-listener ordering is the
@@ -1175,10 +1092,10 @@ class _GatewaySoak(_Soak):
     # -- scripted epilogue trials ---------------------------------------------
 
     def finish(self):
-        """Stats first (the shutdown audit closes the stack they
-        describe), then the graceful drain and the shutdown audit."""
+        """The graceful drain, and the soaked stack's service and
+        gateway stats."""
         stats = {"service": self.svc.stats(), "gateway": self.gw.stats()}
-        return [self.drain_trial(), self.leaked_workers_trial()], stats
+        return [self.drain_trial()], stats
 
     def drain_trial(self) -> ChaosTrial:
         """Graceful drain on a fresh gateway: readiness flips first, a
@@ -1191,8 +1108,7 @@ class _GatewaySoak(_Soak):
             GatewayClient, KernelService, NetworkError, ThreadedGateway,
         )
 
-        svc2 = KernelService(cache_dir=None, seed=self.seed, workers=2,
-                             farm_workers=0)
+        svc2 = KernelService(cache_dir=None, seed=self.seed, workers=2)
         gw2 = ThreadedGateway(svc2, drain_grace_s=0.4, drain_budget_s=15.0,
                               close_service=True)
         addr = gw2.address
@@ -1283,18 +1199,6 @@ class _GatewaySoak(_Soak):
             "listener closed",
         )
 
-    def leaked_workers_trial(self) -> ChaosTrial:
-        """Close the whole stack; every farm worker PID must be dead."""
-        pids = self.svc.farm_worker_pids()
-        self.close()
-        alive = self._surviving(pids, 10.0)
-        if alive:
-            return ChaosTrial("gw-shutdown", "*", "stack close",
-                              "leaked-workers",
-                              f"farm PIDs {alive} survived service close")
-        return ChaosTrial("gw-shutdown", "*", "stack close", "farm-reaped",
-                          f"all {len(pids)} farm workers dead after close")
-
 
 class _FleetSoak(_Soak):
     """The ``fleet`` profile: a live :class:`FleetSupervisor` over N real
@@ -1303,30 +1207,24 @@ class _FleetSoak(_Soak):
 
     The kill layers SIGKILL the *shard-owner* replica of an in-flight
     cold compile at seeded moments — early (mid-compile), late
-    (mid-cache-write), while its ``.lead`` cross-replica coalescing
-    marker is fresh, and mid-frame under a pinned no-retry client — and
-    judge that the sharded client rides through with a correct answer
-    while the supervisor respawns the victim.  They ignore the drawn
-    kernel: each draws its own cold shape from the soak RNG.  Every
-    killed pid (replica and its farm workers) is recorded for the
-    end-of-campaign leak audit; the shared cache directory is audited
-    last: every ``*.vbk`` must verify, the quarantine must be empty
-    (atomic writes never let a torn entry into the namespace), and no
-    stale ``.lead`` marker may survive.
+    (mid-cache-write), and mid-frame under a pinned no-retry client —
+    and judge that the sharded client rides through with a correct
+    answer while the supervisor respawns the victim.  They ignore the
+    drawn kernel: each draws its own cold shape from the soak RNG.
+    Every killed replica pid is recorded for the end-of-campaign leak
+    audit; the shared cache directory is audited last: every ``*.vbk``
+    must verify and the quarantine must be empty (atomic writes never
+    let a torn entry into the namespace).
     """
 
-    def __init__(self, seed: int, size: int, replicas: int = 3,
-                 farm_workers: int = 1) -> None:
+    def __init__(self, seed: int, size: int, replicas: int = 3) -> None:
         from ..service.supervisor import FleetSupervisor
 
         super().__init__(seed, size)
         self.replicas = int(replicas)
-        self.marker_ttl_s = 1.5
         self.sup = FleetSupervisor(
-            self.replicas, self.root,
-            farm_workers=farm_workers, workers=4,
+            self.replicas, self.root, workers=4,
             queue_limit=32, max_inflight=32,
-            marker_ttl_s=self.marker_ttl_s, farm_budget_s=10.0,
             probe_interval_s=0.1, probe_timeout_s=2.0, probe_failures=3,
             restart_backoff_base=0.02, restart_backoff_cap=0.1,
             # Kill storms are the point of this campaign; the flap->park
@@ -1361,25 +1259,10 @@ class _FleetSoak(_Soak):
         return self._payload(kernel, size=size)
 
     def _pids_of(self, index: int) -> list:
-        """The victim's own pid plus its farm workers' (for the
-        post-mortem leak audit) — snapshotted *before* the kill."""
-        from ..service import GatewayClient
-
-        pids = []
+        """The victim's pid (for the post-mortem leak audit) —
+        snapshotted *before* the kill."""
         pid = self.sup.replica_pids().get(index)
-        if pid is not None:
-            pids.append(pid)
-        addr = self.sup.slots()[index]
-        if addr is not None:
-            c = GatewayClient([addr], retries=0, seed=self.seed + 97)
-            try:
-                st = c.stats(deadline_s=10.0)
-                pids.extend(int(p) for p in (st.get("farm_pids") or ()))
-            except Exception:  # noqa: BLE001 - racing the kill window
-                pass
-            finally:
-                c.close()
-        return pids
+        return [] if pid is None else [pid]
 
     def _heal(self, layer: str, kernel: str, fault: str):
         """Wait for the supervisor to respawn every replica; a fleet
@@ -1392,15 +1275,6 @@ class _FleetSoak(_Soak):
         return ChaosTrial(layer, kernel, fault, "silent-wrong",
                           f"fleet stuck at {self.sup.up_count()}/"
                           f"{self.replicas} replicas 60s after the kill")
-
-    def _lead_files(self) -> list:
-        import os
-
-        try:
-            return [n for n in os.listdir(self.root)
-                    if n.endswith(".lead")]
-        except OSError:
-            return []
 
     @staticmethod
     def _issue(client, req: dict, out: dict, deadline_s: float) -> None:
@@ -1523,26 +1397,6 @@ class _FleetSoak(_Soak):
                           f"served correct through the kill "
                           f"({out['resp'].get('attempts')} attempt(s))")
 
-    def kill_lead(self) -> ChaosTrial:
-        """Kill the shard owner while its cross-replica ``.lead`` marker
-        is fresh; a survivor must reclaim it within the marker TTL and
-        no stale marker may outlive the trial."""
-        trial = self._kill_mid_flight("fl-kill-lead", 0.02, 0.15)
-        if not trial.ok:
-            return trial
-        deadline = time.perf_counter() + self.marker_ttl_s + 10.0
-        leads = self._lead_files()
-        while leads and time.perf_counter() < deadline:
-            time.sleep(0.05)
-            leads = self._lead_files()
-        if leads:
-            return ChaosTrial("fl-kill-lead", trial.kernel, trial.fault,
-                              "stale-lead",
-                              f"markers {leads} still present "
-                              f"{self.marker_ttl_s + 10.0:.1f}s after the "
-                              f"kill (TTL {self.marker_ttl_s}s)")
-        return trial
-
     def kill_wire(self) -> ChaosTrial:
         """SIGKILL the replica a *pinned no-retry* client is mid-frame
         with: the cut must surface as a classified NetworkError (never a
@@ -1614,7 +1468,6 @@ class _FleetSoak(_Soak):
             "fl-kill-compile", 0.005, 0.08)),
         "fl-kill-write": (12, lambda s, _k: s._kill_mid_flight(
             "fl-kill-write", 0.08, 0.4)),
-        "fl-kill-lead": (15, lambda s, _k: s.kill_lead()),
         "fl-kill-wire": (15, lambda s, _k: s.kill_wire()),
     }
 
@@ -1624,7 +1477,7 @@ class _FleetSoak(_Soak):
         """The four audits, then the fleet stats (after the readiness
         check, which waits the fleet back to full capacity)."""
         trials = [self.park_trial(), self.cache_audit_trial(),
-                  self.farm_leak_trial(), self.final_ready_trial()]
+                  self.leak_trial(), self.final_ready_trial()]
         return trials, {
             "fleet": self.sup.stats(),
             "ready": self.sup.ready(),
@@ -1645,7 +1498,7 @@ class _FleetSoak(_Soak):
 
         layer, fault = "fl-park", "kill -9 x3 inside the flap window"
         sup = FleetSupervisor(
-            1, self.root, farm_workers=0, workers=2,
+            1, self.root, workers=2,
             probe_interval_s=0.05, probe_timeout_s=2.0,
             restart_backoff_base=0.01, restart_backoff_cap=0.05,
             restart_budget=2, restart_window_s=60.0,
@@ -1682,8 +1535,7 @@ class _FleetSoak(_Soak):
 
     def cache_audit_trial(self) -> ChaosTrial:
         """The shared cache after the kill storm: every ``*.vbk``
-        envelope verifies, the quarantine is empty, no ``.lead`` marker
-        survives.  Leftover ``*.tmp`` droppings are harmless by design
+        envelope verifies and the quarantine is empty.  Leftover ``*.tmp`` droppings are harmless by design
         (the index never reads them) and only reported."""
         import os
 
@@ -1711,29 +1563,21 @@ class _FleetSoak(_Soak):
             return ChaosTrial(layer, "*", fault, "torn-cache",
                               f"quarantine not empty: {quarantined} — a "
                               f"torn entry reached the cache namespace")
-        leads = self._lead_files()
-        if leads:
-            return ChaosTrial(layer, "*", fault, "stale-lead",
-                              f"leader markers survived the campaign: "
-                              f"{leads}")
         return ChaosTrial(layer, "*", fault, "cache-clean",
                           f"{entries} entries verified, quarantine "
-                          f"empty, 0 stale leads, {tmps} harmless "
-                          f"tmp dropping(s)")
+                          f"empty, {tmps} harmless tmp dropping(s)")
 
-    def farm_leak_trial(self) -> ChaosTrial:
-        """Every pid that died in the storm — replicas *and* their farm
-        workers — must actually be gone (the farm's parent-death
-        watchdog is what makes the workers true orphan-proof)."""
+    def leak_trial(self) -> ChaosTrial:
+        """Every replica pid that was killed in the storm must actually
+        be gone."""
         layer, fault = "fl-leak-audit", f"{self.kills} kills"
         alive = self._surviving(self.dead_pids, 20.0)
         if alive:
             return ChaosTrial(layer, "*", fault, "leaked-workers",
-                              f"pids {alive} survived their replica's "
-                              f"SIGKILL")
-        return ChaosTrial(layer, "*", fault, "farm-reaped",
-                          f"all {len(set(self.dead_pids))} killed pids "
-                          f"(replicas + farm workers) are gone")
+                              f"pids {alive} survived their SIGKILL")
+        return ChaosTrial(layer, "*", fault, "reaped",
+                          f"all {len(set(self.dead_pids))} killed "
+                          f"replica pids are gone")
 
     def final_ready_trial(self) -> ChaosTrial:
         """The fleet must end the campaign at full serving capacity."""
@@ -1770,7 +1614,6 @@ _PROFILES = {
 #: each profile's layer names, in draw order.
 LAYERS = tuple(_Layers.table)
 SERVICE_LAYERS = tuple(_ServiceSoak.table)
-FARM_LAYERS = tuple(_ServiceSoak.farm_table)
 GATEWAY_LAYERS = tuple(_GatewaySoak.table)
 FLEET_LAYERS = tuple(_FleetSoak.table)
 
@@ -1784,8 +1627,8 @@ def run_campaign(profile: str = "layers", n_faults: int = 200,
     Each iteration draws a layer from the profile's weighted table, then
     a kernel, and runs that layer's trial; the profile's scripted
     epilogue runs last.  ``profile_options`` configure the profile:
-    ``include_harness``/``harness_timeout`` for ``layers``,
-    ``farm_workers`` for the live profiles, ``replicas`` for ``fleet``.
+    ``include_harness``/``harness_timeout`` for ``layers``, ``replicas``
+    for ``fleet``.
     """
     prof = _PROFILES[profile](seed, size, **profile_options)
     report = ChaosReport(seed=seed)

@@ -15,8 +15,8 @@ and reports cycles plus compile-time/bytecode statistics.
 
 This module alone knows what an offline artifact is: the IR a flow hands
 its online compiler, that IR's cache identity (canonical CRC) and the
-bytecode sizes a result reports.  The service and its compile farm ask
-:class:`FlowRunner` for them.
+bytecode sizes a result reports.  The service asks :class:`FlowRunner`
+for them.
 """
 
 from __future__ import annotations
@@ -218,8 +218,7 @@ class FlowRunner:
         """(IR, canonical CRC) that ``flow`` hands its online compiler on
         ``target``.  The CRC of the canonical print (positional SSA ids,
         unlike the encoded stream's gensym counters) is stable across
-        processes: the service's cache identity, which a farm worker
-        re-derives here to refuse a job whose key disagrees."""
+        processes: the service's cache identity."""
         # Imported here: the service package imports this module.
         from ..service.cache import canonical_crc
 

@@ -248,7 +248,6 @@ def run_cells(
     retries: int = 1,
     backoff: float = 0.05,
     fault_plan=None,
-    deadline=None,
 ) -> list[CellResult]:
     """Run every cell; returns results in input order.
 
@@ -266,52 +265,17 @@ def run_cells(
     every worker.  A cell that exhausts its attempts is *quarantined*:
     its :class:`CellResult` carries ``result=None`` and a classified
     ``error_kind`` while the rest of the sweep completes normally.
-
-    ``deadline`` bounds the *whole sweep*: either a float budget in
-    seconds or a :class:`repro.service.Deadline` (anything exposing
-    ``remaining()``), as propagated from a service request.  The
-    remaining budget tightens every cell's effective timeout, and cells
-    that cannot start before expiry are quarantined with
-    ``CellError[deadline]`` (deadline expiry is terminal — no retries).
     """
     cells = list(cells)
-
-    if deadline is None:
-        remaining = None
-    elif hasattr(deadline, "remaining"):
-        remaining = deadline.remaining
-    else:
-        _expires = time.monotonic() + float(deadline)
-
-        def remaining() -> float:
-            return max(0.0, _expires - time.monotonic())
-
-    def _deadline_result(cell: Cell, attempts: int = 1) -> CellResult:
-        err = CellError(
-            "deadline",
-            f"{cell.kernel}/{cell.flow} on {cell.target}: sweep deadline "
-            f"expired before the cell could run",
-        )
-        return CellResult(
-            cell, None, 0.0,
-            error=str(err), error_kind="CellError[deadline]",
-            attempts=attempts,
-        )
 
     if jobs <= 1:
         if runner is None:
             runner = FlowRunner(**(runner_kwargs or {}))
         instances: dict = {}
-
-        def serial(cell: Cell) -> CellResult:
-            if remaining is not None and remaining() <= 0.0:
-                return _deadline_result(cell)
-            return _run_cell_serial(cell, runner, instances)
-
         if fault_plan is not None:
             with faults.injected(fault_plan):
-                return [serial(c) for c in cells]
-        return [serial(c) for c in cells]
+                return [_run_cell_serial(c, runner, instances) for c in cells]
+        return [_run_cell_serial(c, runner, instances) for c in cells]
 
     kwargs = dict(runner_kwargs or {})
     if runner is not None and not kwargs:
@@ -328,11 +292,7 @@ def run_cells(
         if attempts > 0 and backoff > 0:
             time.sleep(backoff_delay(attempts, base=backoff))
         fut = mgr.get().submit(_run_cell, cell)
-        limit = timeout
-        if remaining is not None:
-            rem = remaining()
-            limit = rem if limit is None else min(limit, rem)
-        dl = None if limit is None else time.monotonic() + max(0.0, limit)
+        dl = None if timeout is None else time.monotonic() + timeout
         inflight[fut] = (i, cell, attempts + 1, dl)
 
     def charge(i, cell, attempts, kind, message):
@@ -381,11 +341,6 @@ def run_cells(
             queue = isolate if isolate else pending
             while queue and len(inflight) < cap:
                 i, cell, attempts = queue.popleft()
-                if remaining is not None and remaining() <= 0.0:
-                    # Sweep deadline expired: terminal, no retries.
-                    results[i] = _deadline_result(cell, max(1, attempts))
-                    queue = isolate if isolate else pending
-                    continue
                 try:
                     submit(i, cell, attempts)
                 except BrokenProcessPool:

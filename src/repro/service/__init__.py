@@ -30,7 +30,6 @@ from .cache import (
 )
 from .client import GatewayClient
 from .core import KernelService, ServiceRequest, ServiceResponse
-from .farm import CompileFarm, CompileJob, FarmError
 from .gateway import DrainError, GatewayServer, ThreadedGateway
 from .supervisor import FleetError, FleetSupervisor
 from .wire import NetworkError
@@ -46,9 +45,6 @@ __all__ = [
     "DrainError",
     "FleetSupervisor",
     "FleetError",
-    "CompileFarm",
-    "CompileJob",
-    "FarmError",
     "KernelCache",
     "CacheKey",
     "CacheError",

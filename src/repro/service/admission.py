@@ -9,10 +9,10 @@ parked in an unbounded queue that converts overload into latency and
 latency into memory exhaustion.
 
 Deadlines are plain data (:class:`Deadline`) carried by the request and
-*propagated*: into retry loops (no retry is started that cannot finish),
-and into the parallel sweep harness (the remaining budget becomes the
-per-cell timeout of :func:`repro.harness.parallel.run_cells`).  An
-expired deadline is a classified :class:`DeadlineError`.
+*propagated* into every pipeline stage: retry loops start no retry that
+cannot finish, and a single-flight follower stops waiting when its own
+budget runs out.  An expired deadline is a classified
+:class:`DeadlineError`.
 """
 
 from __future__ import annotations

@@ -23,13 +23,10 @@ cache is built *assuming* its own entries will go bad:
   the budget (evicting least-recently-used entries first) **before** the
   tempfile is written, so peak disk usage is bounded by the budget plus
   one in-flight entry — never "write everything, evict later".
-* **Cross-replica leader markers.**  Service replicas sharing one cache
-  directory coalesce cold misses through advisory ``.lead`` files next to
-  the entries: one replica claims compile leadership (``O_EXCL`` create),
-  the others wait-and-read instead of recompiling, and a marker whose
-  mtime ages past its TTL is *taken over* — a crashed replica can never
-  strand the fleet.  Markers are advisory: the worst case of any race is
-  one redundant compile, which the atomic entry write makes harmless.
+* **Shared across replicas without coordination.**  Replicas sharing
+  one cache directory may compile one key at once; each writes the
+  entry atomically, the last write wins, and every replica's next hit
+  reads that one entry.
 * **A hot tier, subordinate to the disk.**  The cache keeps the last
   :data:`HOT_ENTRIES` kernels that ``get`` unpacked or ``put`` wrote,
   each with the exact entry bytes it came from or went to.  A hit still
@@ -221,16 +218,7 @@ def _pack_entry(payload: bytes) -> bytes:
 
 def pack_kernel(ck) -> bytes:
     """Serialize a :class:`~repro.jit.compilers.CompiledKernel` into the
-    checksummed VBK1 envelope the cache stores on disk.
-
-    This is the *wire format of the compile farm* too: a farm worker
-    packs its result with this function and ships the envelope bytes
-    back over the process boundary, so the leader can both serve the
-    kernel (:func:`unpack_kernel`) and persist the exact bytes it
-    received (:meth:`KernelCache.put_bytes`) without a second
-    serialization — warm-cache responses are byte-identical to the cold
-    compile by construction.
-    """
+    checksummed VBK1 envelope the cache stores on disk."""
     payload = pickle.dumps(
         {
             "mfunc": ck.mfunc,
@@ -334,8 +322,8 @@ class KernelCache:
         self._hot: OrderedDict[str, tuple[bytes, object]] = OrderedDict()
         #: running sum of ``_index.values()`` (kept exact under _lock).
         self._bytes = 0
-        #: bytes reserved by in-flight ``put_bytes`` calls (admission
-        #: holds them against the budget before the tempfile exists).
+        #: bytes reserved by in-flight ``put`` calls (admission holds
+        #: them against the budget before the tempfile exists).
         self._pending = 0
         self.hits = 0
         self.hot_hits = 0
@@ -345,9 +333,6 @@ class KernelCache:
         self.put_failures = 0
         self.oversize_rejects = 0
         self.budget_rejects = 0
-        self.marker_claims = 0
-        self.marker_waits = 0
-        self.marker_takeovers = 0
         self._scan()
 
     # -- index maintenance ----------------------------------------------------
@@ -510,22 +495,13 @@ class KernelCache:
     def put(self, key: CacheKey, ck) -> bool:
         """Persist ``ck`` under ``key`` atomically; True on success.
 
-        A failed write (including an injected torn write) never poisons
-        the cache: the destination is untouched and the failure is only
-        counted — serving the freshly compiled kernel is unaffected.
-        """
-        return self.put_bytes(key, pack_kernel(ck), ck)
-
-    def put_bytes(self, key: CacheKey, data: bytes, ck) -> bool:
-        """Persist an already-packed VBK1 envelope under ``key``.
-
-        This is the insert primitive the compile farm uses: the leader
-        stores the exact envelope bytes a worker shipped back, with no
-        re-serialization, so the on-disk entry is byte-identical to the
-        cold response.  ``ck`` is the kernel those bytes encode (the one
-        the caller is serving); once the write has landed, the hot tier
-        maps the written bytes to it, so the first warm hit reuses its
-        translations instead of unpacking and translating again.
+        ``ck`` is packed once and those bytes are written; once the
+        write has landed, the hot tier maps them to ``ck`` (the kernel
+        the caller is serving), so the first warm hit reuses its
+        translations instead of unpacking and translating again.  A failed write (including
+        an injected torn write) never poisons the cache: the destination
+        is untouched and the failure is only counted — serving the
+        freshly compiled kernel is unaffected.
 
         Admission is **reservation-style**: the entry's size is reserved
         against the byte budget — evicting LRU entries as needed — *before*
@@ -539,6 +515,7 @@ class KernelCache:
         reservation back.  A rejected put is benign — the compile result
         is still served, only the cache insert is skipped.
         """
+        data = pack_kernel(ck)
         size = len(data)
         name = key.filename()
         reject = None
@@ -586,104 +563,6 @@ class KernelCache:
         obs.gauge("cache.bytes", total)
         return True
 
-    # -- cross-replica leader markers -----------------------------------------
-
-    def _marker_path(self, key: CacheKey) -> str:
-        return os.path.join(self.root, key.filename() + ".lead")
-
-    def claim_leader(
-        self, key: CacheKey, ttl_s: float, *, force: bool = False
-    ) -> str | None:
-        """Try to claim cross-replica compile leadership for ``key``.
-
-        Leadership is an advisory ``.lead`` file next to the (future)
-        cache entry, created with ``O_CREAT | O_EXCL`` so exactly one
-        replica per cache directory wins a cold miss.  Returns an opaque
-        token on success (pass it to :meth:`release_leader`), or ``None``
-        when another replica holds a *fresh* marker — the caller should
-        wait-and-poll the cache instead of recompiling.
-
-        A marker whose mtime has aged past ``ttl_s`` is presumed to
-        belong to a crashed or wedged replica: it is unlinked and the
-        claim retried (a **takeover**).  ``force=True`` treats any
-        existing marker as stale — the compile-budget watchdog uses this
-        to reclaim leadership when a fresh-looking marker has outlived
-        the caller's patience.  Markers are advisory: if two replicas
-        ever race past each other, both compile and the atomic entry
-        write keeps the cache consistent.
-
-        Fault injection: an active :class:`~repro.faults.StaleMarker`
-        plan plants a dead replica's aged marker just before the claim,
-        deterministically exercising the takeover path.
-        """
-        path = self._marker_path(key)
-        token = uuid.uuid4().hex
-        if faults.stale_marker() is not None:
-            # A replica "died" holding leadership: its marker is on disk
-            # and old enough that the TTL has long expired.
-            try:
-                with open(path, "wb") as f:
-                    f.write(b"injected-dead-replica\n")
-                aged = time.time() - (ttl_s + 60.0)
-                os.utime(path, (aged, aged))
-            except OSError:
-                pass
-        while True:
-            try:
-                fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                try:
-                    age = time.time() - os.stat(path).st_mtime
-                except OSError:
-                    continue  # marker vanished under us — retry the claim
-                if age <= ttl_s and not force:
-                    with self._lock:
-                        self.marker_waits += 1
-                    obs.count("farm.marker_waits")
-                    return None
-                try:
-                    os.unlink(path)
-                except OSError:
-                    pass
-                with self._lock:
-                    self.marker_takeovers += 1
-                obs.count("farm.marker_takeovers")
-                force = False
-                continue
-            except OSError:
-                # Unclaimable marker path (read-only dir, exotic fs):
-                # leadership is advisory, so proceed as leader — worst
-                # case is a redundant compile, never a wrong answer.
-                break
-            else:
-                try:
-                    os.write(fd, token.encode("ascii"))
-                finally:
-                    os.close(fd)
-                break
-        with self._lock:
-            self.marker_claims += 1
-        obs.count("farm.marker_claims")
-        return token
-
-    def release_leader(self, key: CacheKey, token: str) -> None:
-        """Drop the leadership marker for ``key`` if we still own it.
-
-        Token-checked: after a takeover the marker (if any) belongs to
-        the new leader, and a stale release must not unlink it.
-        """
-        path = self._marker_path(key)
-        try:
-            with open(path, "rb") as f:
-                owner = f.read().decode("ascii", "replace")
-        except OSError:
-            return
-        if owner == token:
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-
     def evict(self, key: CacheKey) -> bool:
         """Remove the entry for ``key`` (cache invalidation); True when an
         on-disk entry existed and was removed."""
@@ -719,7 +598,4 @@ class KernelCache:
                 "oversize_rejects": self.oversize_rejects,
                 "budget_rejects": self.budget_rejects,
                 "pending_bytes": self._pending,
-                "marker_claims": self.marker_claims,
-                "marker_waits": self.marker_waits,
-                "marker_takeovers": self.marker_takeovers,
             }

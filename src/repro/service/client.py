@@ -12,12 +12,15 @@ blocking client built for the fail-soft story the gateway exports —
   :func:`~repro.harness.parallel.backoff_delay` (the same curve the
   service's own retry loop uses), seeded for deterministic campaigns;
 * **deliberate placement** — compile requests are **hash-sharded** by
-  request shape (:func:`shard_index`): the shape determines the
-  canonical bytecode and hence the service's
-  :class:`~repro.service.cache.CacheKey`, so all requests for one cache
-  key land on one replica — cold misses coalesce on that replica's
-  single-flight table instead of compiling once per replica, and its
-  cache stays hot for the shapes it owns;
+  request shape (:func:`shard_index`), so all requests for one shape
+  land on one replica — identical cold misses coalesce on that
+  replica's single-flight table instead of compiling once per replica,
+  and its cache stays hot for the shapes it owns.  The shape includes
+  the size, and sizes of a kernel whose source does not embed the size
+  share one :class:`~repro.service.cache.CacheKey`: such sizes may land
+  on different replicas, which may then compile that key at once (the
+  atomic cache write makes the last one win, and every replica's next
+  hit reads that one entry);
 * **per-call failover ordering** — every ``request()`` re-derives its
   replica ordering: the shard owner first, then a *jittered rotation*
   of the remainder (so failover load spreads instead of piling onto the
@@ -100,6 +103,8 @@ def request_shape(payload: dict) -> str:
     service-side :class:`~repro.service.cache.CacheKey`, so two
     requests with one shape shard to one replica
     (:func:`shard_index`) and coalesce there on one single-flight key.
+    The map is not one-to-one: every size of a kernel whose source does
+    not embed the size yields the same key, under different shapes.
     """
     return "\x00".join(
         str(payload.get(k, d)) for k, d in _SHAPE_FIELDS
@@ -110,8 +115,9 @@ def shard_index(payload: dict, n_slots: int) -> int:
     """Deterministic replica placement for a compile payload.
 
     Hashing the shape (:func:`request_shape`) places every request for
-    one cache key on one replica without the client ever computing
-    bytecode.  CRC-32 over the canonical shape string keeps placement
+    one shape on one replica without the client ever computing bytecode
+    (two shapes that share a cache key may land apart; see the module
+    docstring).  CRC-32 over the canonical shape string keeps placement
     stable across processes and Python versions (``hash()`` is salted;
     it would reshuffle the shard map per run).
     """

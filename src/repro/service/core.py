@@ -9,7 +9,7 @@ into that service:
 * **admission** (:mod:`.admission`) — a bounded in-flight counter sheds
   excess load with a classified :class:`OverloadError` instead of
   queueing unboundedly; per-request :class:`Deadline`\\ s are enforced at
-  every pipeline stage and propagated into the parallel sweep harness.
+  every pipeline stage.
 * **kernel cache** (:mod:`.cache`) — compiled artifacts are persisted
   crash-safely and served on later requests; corrupt entries self-heal
   (quarantine → recompile → overwrite).
@@ -19,13 +19,10 @@ into that service:
 * **retries** — transient failures are retried with the harness's
   jittered exponential :func:`~repro.harness.parallel.backoff_delay`
   before degrading.
-* **compile farm** (:mod:`.farm`) — with ``farm_workers > 0`` the
-  single-flight leader dispatches each cold compile to a persistent
-  worker-*process* pool instead of compiling under the GIL, so N
-  distinct misses compile on N cores; with a shared ``cache_dir``,
-  leadership coalesces *across replicas* through advisory TTL markers,
-  and a per-flight compile-budget watchdog reroutes any flight whose
-  leader (thread, worker, or foreign replica) crashes or wedges.
+* **single-flight** (:mod:`.singleflight`) — concurrent identical cold
+  misses share one inline compile in the first requester's thread; a
+  follower whose flight outlives :data:`FLIGHT_BUDGET_S` deposes the
+  wedged leader and compiles for itself.
 
 When the primary attempt is exhausted (or short-circuited), the request
 enters the **degradation cascade** — strictly ordered, every step
@@ -55,15 +52,14 @@ from dataclasses import dataclass, field, replace
 from .. import faults, obs
 from ..errors import classify
 from ..harness.flows import FLOWS, FlowResult, FlowRunner
-from ..harness.parallel import backoff_delay, run_cells
+from ..harness.parallel import backoff_delay
 from ..jit.materialize import DegradationEvent
 from ..kernels import get_kernel
 from ..machine.registry import DEFAULT_ENGINE
 from ..targets import get_target
 from .admission import AdmissionQueue, Deadline, DeadlineError, OverloadError
 from .breaker import CircuitBreaker, CircuitOpenError
-from .cache import CacheKey, KernelCache, unpack_kernel
-from .farm import CompileFarm, CompileJob, FarmError
+from .cache import CacheKey, KernelCache
 from .singleflight import SingleFlight
 
 __all__ = ["ServiceRequest", "ServiceResponse", "KernelService"]
@@ -74,6 +70,11 @@ __all__ = ["ServiceRequest", "ServiceResponse", "KernelService"]
 #: bounds the last-good results kept for the stale-cache fallback, least
 #: recently stored out first.
 MAX_INSTANCES = 128
+
+#: How long a single-flight follower waits on an unsettled flight before
+#: it presumes the leader wedged, deposes it and compiles for itself.  A
+#: real compile takes milliseconds, so only a hung leader ever trips it.
+FLIGHT_BUDGET_S = 30.0
 
 
 class _ShardedCounters:
@@ -226,10 +227,6 @@ class KernelService:
         cache_budget: int = 8 << 20,
         queue_limit: int = 32,
         workers: int = 4,
-        farm_workers: int = 0,
-        farm_budget_s: float | None = 30.0,
-        replica_coalesce: bool = True,
-        marker_ttl_s: float = 10.0,
         retries: int = 2,
         backoff_base: float = 0.005,
         breaker_threshold: int = 3,
@@ -271,21 +268,6 @@ class KernelService:
         #: per-CacheKey in-flight compile table: concurrent identical
         #: misses share one compile (leader/follower).
         self._singleflight = SingleFlight()
-        #: per-flight compile budget (seconds): bounds a farm dispatch,
-        #: a follower's patience on an unsettled flight, and the wait on
-        #: a foreign replica's leader marker.  None disables watchdogs.
-        self.farm_budget_s = farm_budget_s
-        self.replica_coalesce = bool(replica_coalesce)
-        self.marker_ttl_s = float(marker_ttl_s)
-        self._runner_config = self.runner.config()
-        # The farm forks eagerly, BEFORE any service thread exists (the
-        # request pool below spawns its threads lazily on first submit),
-        # so workers never inherit a mid-transaction lock.
-        self._farm = (
-            CompileFarm(farm_workers, budget_s=farm_budget_s)
-            if int(farm_workers) > 0
-            else None
-        )
         self._pool = ThreadPoolExecutor(
             max_workers=int(workers), thread_name_prefix="repro-service"
         )
@@ -302,37 +284,18 @@ class KernelService:
             "degradation_events",
             "breaker_short_circuits",
             "internal_errors",
-            "farm_dispatches",
-            "farm_fallbacks",
             "flight_usurps",
-            "replica_waits",
-            "replica_hits",
         ])
         self._closed = False
 
     # -- lifecycle ------------------------------------------------------------
 
     def close(self, wait: bool = True) -> None:
-        """Shut down the worker pool and the compile farm.
-
-        The farm teardown sits in a ``finally`` so an interrupt (Ctrl-C
-        lands in ``shutdown(wait=True)`` far more often than anywhere
-        else) can never skip it and orphan worker processes; pass
-        ``wait=False`` to skip waiting for queued thread work entirely.
-        """
+        """Shut down the worker pool; pass ``wait=False`` to skip
+        waiting for queued thread work entirely."""
         if not self._closed:
             self._closed = True
-            try:
-                self._pool.shutdown(wait=wait, cancel_futures=not wait)
-            finally:
-                if self._farm is not None:
-                    self._farm.close()
-
-    def farm_worker_pids(self) -> list[int]:
-        """PIDs of live compile-farm workers ([] without a farm)."""
-        if self._farm is None:
-            return []
-        return self._farm.worker_pids()
+            self._pool.shutdown(wait=wait, cancel_futures=not wait)
 
     def __enter__(self) -> "KernelService":
         return self
@@ -392,13 +355,6 @@ class KernelService:
         futures = [self.submit(r) for r in requests]
         return [f.result() for f in futures]
 
-    def sweep(self, cells, deadline_s: float | None = None, **kwargs):
-        """Run a parallel experiment sweep with the request deadline
-        propagated into :func:`repro.harness.parallel.run_cells` (the
-        remaining budget tightens every cell's timeout)."""
-        deadline = Deadline(deadline_s)
-        return run_cells(cells, deadline=deadline, **kwargs)
-
     # -- surfaces -------------------------------------------------------------
 
     def health(self) -> dict:
@@ -433,7 +389,6 @@ class KernelService:
             "breakers": breakers,
             "cache": self.cache.stats() if self.cache is not None else None,
             "singleflight": self._singleflight.stats(),
-            "farm": self._farm.stats() if self._farm is not None else None,
         }
         served = counts["ok"] + counts["degraded"] + counts["stale"]
         out["served"] = served
@@ -630,7 +585,7 @@ class KernelService:
             inst, flow, target, force_scalar, deadline=deadline
         )
         deadline.check("after compilation")
-        result = self._execute(inst, ck, flow, target)
+        result = self.runner.execute(inst, ck, flow, target)
         events = list(ck.events)
         status = "degraded" if events else "ok"
         return ServiceResponse(
@@ -684,18 +639,13 @@ class KernelService:
         instead of N (the classic cache stampede).  Followers honour
         their own deadline while waiting and share the leader's failure
         (one deterministic compile error answers the whole cohort; each
-        request's retry loop then starts its own fresh flight).
+        request's retry loop then starts its own fresh flight).  A
+        follower whose flight outlives :data:`FLIGHT_BUDGET_S` deposes
+        the presumed-wedged leader and compiles for itself.
 
-        With a :class:`CompileFarm` the leader *dispatches* instead of
-        compiling inline, so distinct keys compile in distinct worker
-        processes — genuinely on distinct cores, no GIL.  With a shared
-        cache directory, leadership extends *across replicas* through
-        advisory TTL markers (see ``KernelCache.claim_leader``).  Both
-        layers are guarded by the per-flight compile-budget watchdog:
-        a follower whose flight outlives ``farm_budget_s`` usurps the
-        presumed-dead leader and reroutes the compile, and a leader
-        waiting on a foreign replica's fresh-but-silent marker reclaims
-        leadership the same way.
+        Coalescing stops at the process: replicas sharing a cache
+        directory may compile one key at once, and the atomic entry
+        write makes the last one win harmlessly.
         """
         key, ir = self._cache_key(inst, flow, target, force_scalar)
         jit_cls = FLOWS[flow][1]
@@ -711,12 +661,11 @@ class KernelService:
                 flight, leader = self._singleflight.begin(key)
                 if leader:
                     return self._lead_flight(
-                        key, ir, jit_cls, flight, inst, flow, target,
-                        force_scalar, deadline, sp,
+                        key, ir, jit_cls, flight, target, force_scalar, sp,
                     )
                 # Follower: coalesce onto the in-flight compile.
                 obs.count("service.singleflight.follower")
-                if self._await_flight(flight, deadline, self.farm_budget_s):
+                if self._await_flight(flight, deadline):
                     ck = flight.outcome()  # re-raises the leader's failure
                     sp.set(cached=False, coalesced=True)
                     if ck.degraded:
@@ -733,10 +682,9 @@ class KernelService:
                 obs.count("service.singleflight.usurped")
                 self._singleflight.usurp(key, flight)
 
-    def _lead_flight(self, key, ir, jit_cls, flight, inst, flow, target,
-                     force_scalar, deadline, sp):
-        """The leader's whole tenure: recheck, cross-replica claim,
-        compile (farm or inline), publish, cache put.
+    def _lead_flight(self, key, ir, jit_cls, flight, target, force_scalar,
+                     sp):
+        """The leader's whole tenure: recheck, compile, publish, cache put.
 
         Everything below runs under flight ownership; ``end`` is
         deferred until *after* the cache put so that any straggler that
@@ -744,10 +692,9 @@ class KernelService:
         end) or re-checks the cache and hits (begin after end implies
         the put already landed).  Either way: exactly one compile per
         key per cohort, deterministic.  Any exit — including a bug in
-        the dispatch below — settles the flight, so followers are never
+        the code below — settles the flight, so followers are never
         stranded on a leader that died silently.
         """
-        token = None
         try:
             if self.cache is not None:
                 ck = self.cache.get(key)
@@ -759,20 +706,11 @@ class KernelService:
                     flight.resolve(ck)
                     sp.set(cached=True)
                     return ck, True, False
-                if self.replica_coalesce:
-                    claimed = self._claim_replica_lead(
-                        key, flight, deadline, sp
-                    )
-                    if not isinstance(claimed, str):
-                        return claimed  # served from a replica's compile
-                    token = claimed
             # Compile outside any global lock: distinct keys compile
-            # genuinely in parallel (farm workers: on distinct cores).
+            # in parallel.
             obs.count("service.singleflight.leader")
             try:
-                ck, envelope = self._jit_compile(
-                    key, ir, jit_cls, inst, flow, target, force_scalar, sp
-                )
+                ck = jit_cls().compile(ir, target, force_scalar=force_scalar)
             except BaseException as exc:
                 flight.reject(exc)
                 raise
@@ -785,136 +723,45 @@ class KernelService:
                 # A failed write (ENOSPC, injected torn write) only
                 # loses the cache benefit; the freshly compiled
                 # kernel is still served.  Only the leader ever
-                # writes: one put per key per cohort — and a farm
-                # compile persists the worker's exact envelope bytes.
-                # Either put seeds the hot tier with ck, so the first
-                # warm hit reuses the translation this request makes.
-                if envelope is not None:
-                    self.cache.put_bytes(key, envelope, ck)
-                else:
-                    self.cache.put(key, ck)
+                # writes: one put per key per cohort.  The put seeds
+                # the hot tier with ck, so the first warm hit reuses
+                # the translation this request makes.
+                self.cache.put(key, ck)
             return ck, False, False
         except BaseException as exc:
             # Defensive: a failure anywhere in the leader region (cache
-            # recheck, marker I/O, a service bug) must not strand parked
-            # followers on an unsettled flight.
+            # recheck, a service bug) must not strand parked followers
+            # on an unsettled flight.
             if not flight.settled:
                 flight.reject(exc)
             raise
         finally:
-            if token is not None and self.cache is not None:
-                self.cache.release_leader(key, token)
             self._singleflight.end(key, flight)
 
-    #: poll interval while waiting on a foreign replica's leader marker.
-    _MARKER_POLL_S = 0.02
-
-    def _claim_replica_lead(self, key, flight, deadline, sp):
-        """Claim cross-replica leadership, or wait out whoever holds it.
-
-        Returns the marker token (str) once this service owns the
-        compile for ``key`` — possibly after a TTL/budget takeover from
-        a dead replica — or the full ``(ck, True, False)`` result triple
-        when the foreign leader published first and we served its
-        artifact straight from the shared cache.
-        """
-        token = self.cache.claim_leader(key, self.marker_ttl_s)
-        if token is not None:
-            return token
-        # A foreign replica holds a fresh marker: wait-and-read.  Our
-        # patience is the compile budget; past it we forcibly reclaim
-        # leadership (the marker looked fresh but its owner may be
-        # wedged — the watchdog rule is the same as for local flights).
-        self._bump("replica_waits")
-        budget = self.farm_budget_s
-        limit = None if budget is None else time.monotonic() + budget
-        while token is None:
-            time.sleep(self._MARKER_POLL_S)
-            ck = self.cache.get(key)
-            if ck is not None:
-                self._bump("replica_hits")
-                obs.count("farm.replica_hits")
-                flight.resolve(ck)
-                sp.set(cached=True, replica=True)
-                return ck, True, False
-            if deadline is not None:
-                deadline.check("while waiting for a replica's compile")
-            force = limit is not None and time.monotonic() >= limit
-            token = self.cache.claim_leader(
-                key, self.marker_ttl_s, force=force
-            )
-        return token
-
-    def _jit_compile(self, key, ir, jit_cls, inst, flow, target,
-                     force_scalar, sp):
-        """(CompiledKernel, envelope-bytes-or-None) for one compile.
-
-        With a farm, the leader dispatches and gets back the packed VBK1
-        envelope (reused verbatim for the cache put); a *dispatch*
-        failure (worker crash/stall — :class:`FarmError`) falls back to
-        compiling inline, so farm faults cost latency, never answers.  A
-        *compile* failure inside the worker arrives reclassified as the
-        same error the inline path would raise and propagates to the
-        retry/cascade machinery unchanged.
-        """
-        if self._farm is not None:
-            job = CompileJob(
-                key=key, kernel=inst.name, size=inst.size, flow=flow,
-                target=target.name, force_scalar=bool(force_scalar),
-                runner_kwargs=self._runner_config,
-                plan=faults.active_plan(),
-            )
-            self._bump("farm_dispatches")
-            try:
-                envelope = self._farm.compile(job)
-            except FarmError as exc:
-                self._bump("farm_fallbacks")
-                obs.count("farm.inline_fallbacks")
-                sp.set(farm_fallback=exc.kind)
-            else:
-                ck = unpack_kernel(envelope)
-                self._mirror_compile_obs(ck)
-                sp.set(farm=True)
-                return ck, envelope
-        return jit_cls().compile(ir, target, force_scalar=force_scalar), None
-
     @staticmethod
-    def _mirror_compile_obs(ck) -> None:
-        """Re-emit the ``jit.*`` metrics for a farm compile in *this*
-        process (the worker's own emissions died with its memory), so
-        dashboards and the identical-mix benchmark see exactly one
-        ``jit.compiles`` per cold compile regardless of where it ran."""
-        obs.count("jit.compiles")
-        obs.count("jit.loops_vectorized", ck.stats.get("loops_vectorized", 0))
-        obs.count("jit.loops_scalarized", ck.stats.get("loops_scalarized", 0))
-        obs.count("jit.degradation_events", len(ck.events))
-        if ck.events:
-            obs.count("jit.degraded_compiles")
-        obs.observe("jit.compile_seconds", ck.compile_seconds)
-
-    @staticmethod
-    def _await_flight(flight, deadline, budget_s=None) -> bool:
+    def _await_flight(flight, deadline) -> bool:
         """Block on a leader's flight; True when it settled.
 
         Honours the follower's own deadline (raising
-        :class:`DeadlineError` on expiry, as before) *and* the per-flight
-        compile budget: False means the budget ran out on an unsettled
-        flight — the caller's cue to usurp the presumed-dead leader
-        instead of waiting forever (deadline-less requests used to hang
-        here if a leader crashed between ``begin`` and ``reject``).
+        :class:`DeadlineError` on expiry) *and* :data:`FLIGHT_BUDGET_S`:
+        False means the budget ran out on an unsettled flight — the
+        caller's cue to usurp the presumed-dead leader instead of
+        waiting forever (deadline-less requests used to hang here if a
+        leader crashed between ``begin`` and ``reject``).
         """
-        limit = None if budget_s is None else time.monotonic() + budget_s
+        limit = time.monotonic() + FLIGHT_BUDGET_S
         while True:
-            timeout = None if deadline is None else deadline.remaining()
-            if limit is not None:
-                rem = max(0.0, limit - time.monotonic())
-                timeout = rem if timeout is None else min(timeout, rem)
+            timeout = max(0.0, limit - time.monotonic())
+            if deadline is not None:
+                rem = deadline.remaining()
+                if rem is not None:
+                    timeout = min(timeout, rem)
             if flight.wait(timeout=timeout):
                 return True
             if deadline is not None:
                 # remaining() clamps at 0.0, so once expired check() raises.
                 deadline.check("while waiting for the coalesced compile")
-            if limit is not None and time.monotonic() >= limit:
+            if time.monotonic() >= limit:
                 return False
 
     @staticmethod
@@ -929,16 +776,9 @@ class KernelService:
         degradations (e.g. AltiVec's unsupported unaligned store) are
         cacheable: they reproduce identically on recompile.
         """
-        from .. import faults as _faults
-
         if any(e.cause == "fault-injected" for e in ck.events):
             return True
-        return ck.degraded and _faults.active_plan() is not None
-
-    def _execute(self, inst, ck, flow, target) -> FlowResult:
-        # A method of its own so a subclass can wrap execution (the
-        # concurrency bench's global-lock baseline does).
-        return self.runner.execute(inst, ck, flow, target)
+        return ck.degraded and faults.active_plan() is not None
 
     # -- the degradation cascade ---------------------------------------------
 

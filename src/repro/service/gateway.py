@@ -27,8 +27,7 @@ real protocol (:mod:`repro.service.wire`) in front of
   a drain budget with their responses fully flushed, late requests get
   a classified :class:`DrainError` rejection, and connections close
   cleanly — a client mid-frame sees a complete response or a clean EOF,
-  never a torn frame.  Then the service (and its compile farm) is
-  closed, so no worker process ever outlives the front door.
+  never a torn frame.  Then the service's worker pool is closed.
 
 Every served request is one ``service.gateway.request`` span wrapping
 the usual ``service.request`` span tree, and the gateway feeds
@@ -106,9 +105,9 @@ class GatewayServer:
     :meth:`KernelService.handle` is blocking by design.  States move
     strictly ``running -> draining -> closed``.
 
-    ``close_service=True`` makes :meth:`drain` also close the service
-    (worker pool + compile farm) — the configuration the CLI uses, so a
-    SIGTERM tears down the whole process tree before exit 0.
+    ``close_service=True`` makes :meth:`drain` also close the service's
+    worker pool — the configuration the CLI uses, so a SIGTERM tears the
+    whole process down before exit 0.
     """
 
     def __init__(
@@ -186,8 +185,7 @@ class GatewayServer:
            responses fully flushed;
         5. open connections close cleanly (a client mid-request-frame
            gets EOF, never a torn response frame);
-        6. with ``close_service``, the service's worker pool and compile
-           farm shut down — no leaked worker processes.
+        6. with ``close_service``, the service's worker pool shuts down.
         """
         if self.state != "running":
             return
@@ -217,7 +215,7 @@ class GatewayServer:
     async def run_until_signal(self, signals=("SIGTERM", "SIGINT")) -> None:
         """Serve until a termination signal, then drain.  The CLI's
         ``serve --listen`` loop: readiness flips before the listener
-        closes, in-flight work completes, the farm shuts down, exit 0."""
+        closes, in-flight work completes, the service closes, exit 0."""
         import signal as _signal
 
         if self._server is None:
@@ -389,7 +387,6 @@ class GatewayServer:
             return {
                 "v": 1, "op": "stats", "gateway": _jsonable(self.stats()),
                 "service": _jsonable(stats),
-                "farm_pids": self.service.farm_worker_pids(),
             }
         if op == "compile":
             return await self._dispatch_compile(payload, deadline_s)

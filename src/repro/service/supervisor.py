@@ -2,11 +2,14 @@
 
 One :class:`FleetSupervisor` turns N single-process gateways
 (``serve --listen``) into a serving *tier*: N child processes share one
-crash-safe cache directory (the cross-replica coalescing substrate from
-:mod:`repro.service.cache` — ``.lead`` TTL markers, atomic VBK1 writes,
-quarantine self-healing), while clients hash-shard placement by request
-shape (:func:`repro.service.client.shard_index`) so every cache key has
-one deliberate home replica and failover walks the live remainder.
+crash-safe cache directory (:mod:`repro.service.cache` — atomic VBK1
+writes, quarantine self-healing), while clients hash-shard placement by
+request shape (:func:`repro.service.client.shard_index`) so every shape
+has one home replica and failover walks the live remainder.  Sizes of a
+kernel whose source does not embed the size share one cache key but
+hash to different replicas, so two replicas may compile that key at
+once: the atomic writes keep the cache consistent, the last write wins,
+and every replica's next hit reads that one entry.
 
 The supervisor's job is the part the paper never had to worry about:
 **the hardware under a replica dies**.  Concretely —
@@ -33,12 +36,11 @@ The supervisor's job is the part the paper never had to worry about:
   capacity honestly.
 
 Crash consistency is inherited, not re-implemented: a ``kill -9`` mid
-cache write leaves only a ``*.tmp`` the index never reads, a killed
-leader's stale ``.lead`` marker is reclaimed by any survivor after the
-marker TTL, and the farm workers of the dead replica reap themselves
-via the parent-death watchdog (:mod:`repro.service.farm`).  The
-``chaos --profile fleet`` campaign SIGKILLs replicas at exactly those
-moments and asserts all of it end-to-end (docs/resilience.md).
+cache write leaves only a ``*.tmp`` the index never reads, and a
+replica killed mid-compile leaves nothing behind that a survivor must
+reclaim.  The ``chaos --profile fleet`` campaign SIGKILLs replicas at
+exactly those moments and asserts all of it end-to-end
+(docs/resilience.md).
 """
 
 from __future__ import annotations
@@ -89,7 +91,7 @@ class Replica:
         self.restart_times: list[float] = []  # inside the flap window
         self.error: FleetError | None = None
         #: pids this slot has ever run — the chaos campaign audits that
-        #: every dead incarnation (and its farm) is actually gone.
+        #: every dead incarnation is actually gone.
         self.pid_history: list[int] = []
 
     def snapshot(self) -> dict:
@@ -124,12 +126,9 @@ class FleetSupervisor:
         replicas: int,
         cache_dir: str,
         *,
-        farm_workers: int = 0,
         workers: int = 4,
         queue_limit: int = 64,
         max_inflight: int = 64,
-        marker_ttl_s: float | None = None,
-        farm_budget_s: float | None = None,
         probe_interval_s: float = 0.2,
         probe_timeout_s: float = 1.0,
         probe_failures: int = 3,
@@ -143,12 +142,9 @@ class FleetSupervisor:
         if replicas < 1:
             raise ValueError("need at least one replica")
         self.cache_dir = str(cache_dir)
-        self.farm_workers = int(farm_workers)
         self.workers = int(workers)
         self.queue_limit = int(queue_limit)
         self.max_inflight = int(max_inflight)
-        self.marker_ttl_s = marker_ttl_s
-        self.farm_budget_s = farm_budget_s
         self.probe_interval_s = float(probe_interval_s)
         self.probe_timeout_s = float(probe_timeout_s)
         self.probe_failures = int(probe_failures)
@@ -175,21 +171,15 @@ class FleetSupervisor:
         on stdout and speaks the gateway wire protocol can be
         supervised (tests use it to plant wedged or crashing stubs).
         """
-        cmd = [
+        return [
             sys.executable, "-u", "-m", "repro", "serve",
             "--listen", "127.0.0.1:0",
             "--cache-dir", self.cache_dir,
-            "--farm-workers", str(self.farm_workers),
             "--jobs", str(self.workers),
             "--queue-limit", str(self.queue_limit),
             "--max-inflight", str(self.max_inflight),
             "--seed", str(self.seed + index),
         ]
-        if self.marker_ttl_s is not None:
-            cmd += ["--marker-ttl", str(self.marker_ttl_s)]
-        if self.farm_budget_s is not None:
-            cmd += ["--farm-budget", str(self.farm_budget_s)]
-        return cmd
 
     def _child_env(self) -> dict:
         env = dict(os.environ)

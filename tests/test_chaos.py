@@ -166,23 +166,6 @@ def test_service_campaign_deterministic_in_seed():
     ]
 
 
-def test_service_campaign_with_farm_faults():
-    """``--farm-workers`` mixes the farm layers into the seeded draw:
-    worker crash mid-compile (rerouted, no torn entry), worker stall
-    (reclaimed by the compile budget), and stale leader markers (taken
-    over) — the invariant must hold through all of them."""
-    from repro.harness.chaos import FARM_LAYERS
-
-    rep = run_campaign("service", n_faults=40, seed=5, farm_workers=2)
-    assert rep.ok, rep.summary()
-    hit = {t.layer for t in rep.trials}
-    assert set(FARM_LAYERS) <= hit
-    outcomes = {t.outcome for t in rep.trials if t.layer in FARM_LAYERS}
-    assert "rerouted" in outcomes
-    assert "marker-takeover" in outcomes
-    assert rep.service_stats["farm"]["rebuilds"] > 0
-
-
 def test_one_judge_keeps_each_profiles_mismatch_outcome():
     """The live profiles share one response judge: an ``ok`` answer that
     differs from the cold reference is a ``wrong-answer`` in process and
@@ -199,25 +182,12 @@ def test_one_judge_keeps_each_profiles_mismatch_outcome():
         assert trial.outcome == "wrong-answer", trial
     finally:
         svc.close()
-    gw = _GatewaySoak(0, 16, farm_workers=0)
+    gw = _GatewaySoak(0, 16)
     try:
         trial = gw.judge("gw-plain", "none", req, resp)
         assert trial.outcome == "torn-response", trial
     finally:
         gw.close()
-
-
-def test_service_campaign_farm_stream_extends_default_stream():
-    """The farm layers join the draw without disturbing the pinned-seed
-    default stream: a farm-less campaign at the same seed is unchanged
-    (bit-for-bit) by the farm feature existing."""
-    a = run_campaign("service", n_faults=15, seed=11)
-    b = run_campaign("service", n_faults=15, seed=11, farm_workers=0)
-    assert [
-        (t.layer, t.kernel, t.fault, t.outcome) for t in a.trials
-    ] == [
-        (t.layer, t.kernel, t.fault, t.outcome) for t in b.trials
-    ]
 
 
 @pytest.mark.slow

@@ -174,18 +174,6 @@ class TestChaosProfile:
         assert payload["profile"] == "service"
         assert payload["service"]["requests"] > 0
 
-    def test_farm_workers_zero_is_honoured(self, tmp_path):
-        """An explicit ``--farm-workers 0`` overrides the gateway
-        profile's default farm of 2."""
-        stats = tmp_path / "gw.json"
-        result = _cli("chaos", "--profile", "gateway", "--farm-workers", "0",
-                      "--faults", "3", "--stats-out", str(stats))
-        assert result.returncode == 0, result.stdout + result.stderr
-        import json
-
-        payload = json.loads(stats.read_text())
-        assert payload["service"]["service"]["farm"] is None
-
 
 class TestTrace:
     """`--trace-out` + `repro trace` — the observability round-trip."""

@@ -6,9 +6,8 @@ discovery, the crash-loop flap suppression (park with a classified
 ``FleetError``), the wedged-replica probe deadline (a stalled replica
 never hangs its prober), the single-replica ``kill -9``
 crash-consistency story (no torn cache entry served, quarantine stays
-empty, the recompile matches the warm bytes), the SIGKILL farm-orphan
-regression (parent-death watchdog), and a quick fleet chaos gate (CI
-runs the full 200-fault campaigns).
+empty, the recompile matches the warm bytes), and a quick fleet chaos
+gate (CI runs the full 200-fault campaigns).
 """
 
 from __future__ import annotations
@@ -348,7 +347,7 @@ def test_fleet_serves_shards_and_heals_after_sigkill(tmp_path):
     from repro.service.wire import encode_payload
 
     sup = FleetSupervisor(
-        2, str(tmp_path), farm_workers=0, workers=2,
+        2, str(tmp_path), workers=2,
         probe_interval_s=0.1, probe_timeout_s=2.0, probe_failures=3,
         restart_backoff_base=0.02, restart_backoff_cap=0.1,
         restart_budget=100, spawn_timeout_s=60.0, seed=0,
@@ -422,8 +421,7 @@ def test_sigkill_mid_cold_compile_leaves_consistent_cache(tmp_path):
     env = dict(os.environ, PYTHONPATH="src")
     proc = subprocess.Popen(
         [sys.executable, "-u", "-m", "repro", "serve", "--listen",
-         "127.0.0.1:0", "--cache-dir", str(tmp_path),
-         "--farm-workers", "0", "--marker-ttl", "0.5"],
+         "127.0.0.1:0", "--cache-dir", str(tmp_path)],
         env=env, cwd=str(REPO_ROOT), stdout=subprocess.PIPE,
         stderr=subprocess.DEVNULL, text=True,
     )
@@ -465,10 +463,10 @@ def test_sigkill_mid_cold_compile_leaves_consistent_cache(tmp_path):
 
     _audit_cache(str(tmp_path))
 
-    # a successor over the same directory recovers the key: cold or
-    # stale-lead-takeover first, then byte-identical warm
-    svc = KernelService(cache_dir=str(tmp_path), seed=0, workers=2,
-                        marker_ttl_s=0.5)
+    # a successor over the same directory recovers the key: cold (or
+    # warm, if the killed replica's write landed) first, then
+    # byte-identical warm
+    svc = KernelService(cache_dir=str(tmp_path), seed=0, workers=2)
     try:
         first = svc.handle(ServiceRequest(
             kernel="saxpy_fp", flow=FLOW, target="sse", size=SIZE))
@@ -481,39 +479,6 @@ def test_sigkill_mid_cold_compile_leaves_consistent_cache(tmp_path):
         svc.close()
     entries = _audit_cache(str(tmp_path))
     assert entries, "recompile never committed an envelope"
-    leads = [n for n in os.listdir(str(tmp_path)) if n.endswith(".lead")]
-    assert leads == [], f"stale leader markers not reclaimed: {leads}"
-
-
-def test_sigkill_gateway_reaps_farm_workers(tmp_path):
-    """SIGKILL the gateway (atexit never runs): its farm workers must
-    reap themselves via the parent-death watchdog."""
-    env = dict(os.environ, PYTHONPATH="src")
-    proc = subprocess.Popen(
-        [sys.executable, "-u", "-m", "repro", "serve", "--listen",
-         "127.0.0.1:0", "--cache-dir", str(tmp_path),
-         "--farm-workers", "2"],
-        env=env, cwd=str(REPO_ROOT), stdout=subprocess.PIPE,
-        stderr=subprocess.DEVNULL, text=True,
-    )
-    try:
-        line = proc.stdout.readline()
-        assert line.startswith("LISTENING "), line
-        addr = line.split()[1]
-        c = GatewayClient([addr], retries=2, seed=0)
-        try:
-            pids = [int(p) for p in c.stats(deadline_s=30.0)["farm_pids"]]
-        finally:
-            c.close()
-        assert len(pids) == 2
-        os.kill(proc.pid, signal.SIGKILL)
-        proc.wait(timeout=10.0)
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-        proc.stdout.close()
-        proc.wait(timeout=10.0)
-    assert _wait_dead(pids) == [], "farm workers outlived a SIGKILLed parent"
 
 
 # -- quick fleet chaos gate ---------------------------------------------------
@@ -526,11 +491,11 @@ def test_sigkill_gateway_reaps_farm_workers(tmp_path):
 #: order do.
 FLEET_GATE_STREAM = [
     ("fl-plain", "saxpy_fp"), ("fl-kill-wire", "saxpy_fp"),
-    ("fl-kill-lead", "sfir_fp"), ("fl-kill-lead", "saxpy_fp"),
+    ("fl-kill-write", "sfir_fp"), ("fl-kill-write", "saxpy_fp"),
     ("fl-plain", "saxpy_fp"), ("fl-plain", "saxpy_fp"),
-    ("fl-kill-compile", "sfir_fp"), ("fl-kill-write", "interp_fp"),
-    ("fl-warm-identity", "interp_fp"), ("fl-kill-wire", "interp_fp"),
-    ("fl-kill-lead", "interp_fp"), ("fl-kill-lead", "interp_fp"),
+    ("fl-warm-identity", "sfir_fp"), ("fl-kill-compile", "interp_fp"),
+    ("fl-warm-identity", "interp_fp"), ("fl-kill-wire", "saxpy_fp"),
+    ("fl-kill-write", "interp_fp"), ("fl-kill-write", "interp_fp"),
     ("fl-park", "*"), ("fl-cache-audit", "*"), ("fl-leak-audit", "*"),
     ("fl-final", "*"),
 ]
@@ -543,8 +508,7 @@ def fleet_campaign():
     seeds; this keeps tier-1 honest without the full bill)."""
     from repro.harness.chaos import run_campaign
 
-    return run_campaign("fleet", n_faults=12, seed=2026, replicas=3,
-                        farm_workers=1)
+    return run_campaign("fleet", n_faults=12, seed=2026, replicas=3)
 
 
 def test_fleet_campaign_invariant_holds(fleet_campaign):
@@ -558,7 +522,7 @@ def test_fleet_campaign_ran_its_epilogues(fleet_campaign):
     outcomes = {t.outcome for t in fleet_campaign.trials}
     assert "parked-classified" in outcomes
     assert "cache-clean" in outcomes
-    assert "farm-reaped" in outcomes
+    assert "reaped" in outcomes
     assert "fleet-ready" in outcomes
 
 

@@ -7,8 +7,7 @@ cold requests over the wire, deadline propagation from the frame
 header into the service, gateway-level backpressure, hostile-wire
 hygiene (garbage, truncation, slowloris, idle reclaim), the graceful
 drain state machine, the resilient client's retry/failover behaviour,
-and the farm-teardown regression (no worker process outlives its
-service — atexit, close(), or SIGTERM).
+and the SIGTERM teardown of ``serve --listen``.
 """
 
 from __future__ import annotations
@@ -246,7 +245,7 @@ def test_ready_health_stats_ops(stack, client):
     stats = client.stats()
     assert stats["gateway"]["state"] == "running"
     assert stats["service"]["requests"] >= 1
-    assert stats["farm_pids"] == svc.farm_worker_pids() == []
+    assert set(stats) == {"v", "op", "gateway", "service"}
 
 
 def test_unknown_op_and_bad_request_rejected(client):
@@ -642,56 +641,16 @@ def test_client_transparently_resends_on_stale_keepalive(tmp_path):
         svc.close()
 
 
-# -- farm teardown regression -------------------------------------------------
+# -- SIGTERM teardown ---------------------------------------------------------
 
 
-def _pid_alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:
-        return True
-    return True
-
-
-def _wait_dead(pids, timeout=10.0):
-    deadline = time.perf_counter() + timeout
-    alive = [p for p in pids if _pid_alive(p)]
-    while alive and time.perf_counter() < deadline:
-        time.sleep(0.05)
-        alive = [p for p in pids if _pid_alive(p)]
-    return alive
-
-
-def test_farm_workers_die_with_process_even_without_close(tmp_path):
-    """Regression: a process that never calls close() (crash path,
-    KeyboardInterrupt unwind) must still reap its farm via atexit."""
-    script = (
-        "import sys\n"
-        "from repro.service import KernelService\n"
-        "svc = KernelService(cache_dir=None, farm_workers=2)\n"
-        "print('PIDS', *svc.farm_worker_pids(), flush=True)\n"
-        "sys.exit(0)\n"  # deliberately no svc.close()
-    )
-    env = dict(os.environ, PYTHONPATH="src")
-    proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, cwd=str(REPO_ROOT),
-        capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    pids = [int(p) for p in proc.stdout.split("PIDS", 1)[1].split()]
-    assert len(pids) == 2
-    assert _wait_dead(pids) == []
-
-
-def test_sigterm_drains_gateway_and_reaps_farm(tmp_path):
+def test_sigterm_drains_gateway(tmp_path):
     """The full front-door teardown: ``serve --listen`` + SIGTERM =>
-    graceful drain messages, exit 0, and no orphaned farm worker."""
+    graceful drain messages and exit 0."""
     env = dict(os.environ, PYTHONPATH="src")
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--listen",
-         "--farm-workers", "2", "--requests", "1"],
+         "--requests", "1"],
         env=env, cwd=str(REPO_ROOT), stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT, text=True,
     )
@@ -701,9 +660,7 @@ def test_sigterm_drains_gateway_and_reaps_farm(tmp_path):
         addr = line.split()[1]
         c = GatewayClient([addr], retries=2, seed=0)
         try:
-            stats = c.stats(deadline_s=30.0)
-            pids = list(stats["farm_pids"])
-            assert len(pids) == 2
+            assert c.stats(deadline_s=30.0)["gateway"]["state"] == "running"
             assert c.compile_run("saxpy_fp", size=SIZE,
                                  deadline_s=60.0)["status"] == "ok"
         finally:
@@ -712,7 +669,6 @@ def test_sigterm_drains_gateway_and_reaps_farm(tmp_path):
         out, _ = proc.communicate(timeout=60)
         assert proc.returncode == 0, out
         assert "gateway drained" in out, out
-        assert _wait_dead(pids) == []
     finally:
         if proc.poll() is None:
             proc.kill()
@@ -731,7 +687,7 @@ GATEWAY_GATE_STREAM = [
     ("gw-truncated", "sfir_fp"), ("gw-conn-drop", "dscal_fp"),
     ("gw-garbage", "interp_fp"), ("gw-jit-fault", "interp_fp"),
     ("gw-deadline", "saxpy_fp"), ("gw-overload", "saxpy_fp"),
-    ("gw-drain", "gemm_fp"), ("gw-shutdown", "*"),
+    ("gw-drain", "gemm_fp"),
 ]
 
 
@@ -750,18 +706,15 @@ def test_gateway_campaign_invariant_holds(gateway_campaign):
 
 
 def test_gateway_campaign_ran_its_epilogues(gateway_campaign):
-    """The scripted epilogues always run: the graceful drain and the
-    leaked-farm-workers audit after the stack closes."""
+    """The scripted epilogue always runs: the graceful drain."""
     outcomes = {t.outcome for t in gateway_campaign.trials}
     assert "drained-clean" in outcomes
-    assert "farm-reaped" in outcomes
 
 
 def test_gateway_campaign_reports_stats(gateway_campaign):
     stats = gateway_campaign.service_stats
     assert set(stats) == {"service", "gateway"}
     assert stats["service"]["requests"] > 0
-    assert stats["service"]["farm"] is not None
 
 
 def test_gateway_campaign_stream_pinned(gateway_campaign):

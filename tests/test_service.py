@@ -279,11 +279,11 @@ def test_cache_forgets_an_entry_deleted_behind_it(tmp_path):
     """An entry another replica (or an operator) deleted is a miss, and
     the index stops counting it: neither ``entries``/``total_bytes`` nor
     a later budget eviction may see the vanished file."""
-    entry = b"VBK1" + bytes(104)
-    cache = KernelCache(str(tmp_path / "kc"), byte_budget=len(entry))
+    _cache, _key, ck = _compiled(tmp_path)
+    size = len(cache_mod.pack_kernel(ck))
+    cache = KernelCache(str(tmp_path / "one"), byte_budget=size)
     gone, fresh = CacheKey(1, "sse", "gcc4cli"), CacheKey(2, "sse", "gcc4cli")
-    kernel = object()  # stands in for the kernel the entry encodes
-    assert cache.put_bytes(gone, entry, kernel)
+    assert cache.put(gone, ck)
     os.unlink(os.path.join(cache.root, gone.filename()))
 
     assert cache.get(gone) is None
@@ -291,8 +291,8 @@ def test_cache_forgets_an_entry_deleted_behind_it(tmp_path):
     _assert_bytes_consistent(cache)
     # The budget holds exactly one entry: the next put has nothing to
     # evict, because the vanished file no longer counts.
-    assert cache.put_bytes(fresh, entry, kernel)
-    assert cache.evictions == 0 and cache.total_bytes() == len(entry)
+    assert cache.put(fresh, ck)
+    assert cache.evictions == 0 and cache.total_bytes() == size
 
 
 # -- KernelCache: the hot tier ------------------------------------------------
@@ -322,10 +322,11 @@ def test_cache_put_seeds_the_tier_only_when_the_write_lands(tmp_path):
         assert cache.put(key, ck) is False
     assert key.filename() not in cache._hot
 
-    data = cache_mod.pack_kernel(ck)
-    assert cache.put_bytes(key, data, ck)
+    assert cache.put(key, ck)
     hot_data, hot_ck = cache._hot[key.filename()]
-    assert hot_data == data and hot_ck is ck
+    with open(os.path.join(cache.root, key.filename()), "rb") as f:
+        assert hot_data == f.read()
+    assert hot_ck is ck
     assert cache.get(key) is ck and cache.hot_hits == 1
 
 
@@ -421,6 +422,86 @@ def test_cache_hot_tier_is_bounded(tmp_path, monkeypatch):
     assert len(cache) == 3
 
 
+# -- KernelCache: the VBK1 envelope and the byte budget -----------------------
+
+
+def test_pack_unpack_kernel_roundtrip_and_corruption(tmp_path):
+    _cache, _key, ck = _compiled(tmp_path)
+    envelope = cache_mod.pack_kernel(ck)
+    ck2 = cache_mod.unpack_kernel(envelope)
+    assert (ck2.compiler, ck2.compile_seconds, ck2.degraded) == \
+        (ck.compiler, ck.compile_seconds, ck.degraded)
+    assert ck2.stats == ck.stats
+    # Pickle bytes may legitimately differ on repack, but must stay a
+    # valid envelope.
+    assert cache_mod.unpack_kernel(
+        cache_mod.pack_kernel(ck2)).compiler == ck.compiler
+
+    corrupt = bytearray(envelope)
+    corrupt[len(corrupt) // 2] ^= 0x40
+    with pytest.raises(CacheError):
+        cache_mod.unpack_kernel(bytes(corrupt))
+
+
+def test_oversize_entry_rejected_before_any_write(tmp_path):
+    _cache, _key, ck = _compiled(tmp_path)
+    size = len(cache_mod.pack_kernel(ck))
+    cache = KernelCache(str(tmp_path / "small"), byte_budget=size - 1)
+    key = CacheKey(0x1, "sse", "gcc4cli")
+    assert cache.put(key, ck) is False
+    assert cache.oversize_rejects == 1
+    assert os.listdir(cache.root) == []  # no tempfile ever landed
+    stats = cache.stats()
+    assert stats["pending_bytes"] == 0 and stats["bytes"] == 0
+
+
+def test_reservation_evicts_before_write_and_rolls_back(tmp_path):
+    _cache, _key, ck = _compiled(tmp_path)
+    size = len(cache_mod.pack_kernel(ck))
+    cache = KernelCache(str(tmp_path / "two"), byte_budget=size + 8)
+    k1, k2 = CacheKey(0x1, "sse", "gcc4cli"), CacheKey(0x2, "sse", "gcc4cli")
+    assert cache.put(k1, ck)
+    assert cache.put(k2, ck)  # must evict k1 to fit
+    assert cache.get(k1) is None and cache.get(k2) is not None
+    stats = cache.stats()
+    assert stats["bytes"] <= size + 8
+    assert stats["pending_bytes"] == 0
+
+    # A failed write releases its reservation.
+    plan = faults.FaultPlan([faults.CacheTornWrite()])
+    with faults.injected(plan):
+        assert cache.put(CacheKey(0x3, "sse", "gcc4cli"), ck) is False
+    assert cache.stats()["pending_bytes"] == 0
+    assert cache.put_failures == 1
+
+
+def test_concurrent_puts_respect_budget_via_reservations(tmp_path):
+    _cache, _key, ck = _compiled(tmp_path)
+    size = len(cache_mod.pack_kernel(ck))
+    cache = KernelCache(str(tmp_path / "race"), byte_budget=2 * size + 8)
+    errs = []
+
+    def put(i):
+        try:
+            cache.put(CacheKey(0x100 + i, "sse", "gcc4cli"), ck)
+        except Exception as exc:  # pragma: no cover - fail loudly below
+            errs.append(exc)
+
+    threads = [threading.Thread(target=put, args=(i,)) for i in range(8)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert not errs
+    stats = cache.stats()
+    # Reservations keep the budget a hard bound even when eight puts
+    # race: inserts that cannot fit after draining the index are given
+    # up (budget_rejects), never allowed to overshoot.
+    assert stats["bytes"] <= 2 * size + 8
+    assert stats["pending_bytes"] == 0
+    assert stats["entries"] + cache.budget_rejects + cache.evictions == 8
+
+
 # -- Deadline / AdmissionQueue ------------------------------------------------
 
 
@@ -454,22 +535,6 @@ def test_admission_sheds_past_limit_and_recovers():
     b.__exit__(None, None, None)
     s = q.stats()
     assert s["depth"] == 0 and s["shed"] == 1 and s["peak_depth"] == 2
-
-
-def test_run_cells_deadline_quarantines_remaining_cells():
-    from repro.harness.parallel import Cell, run_cells
-
-    kernels = ["saxpy_fp", "dscal_fp", "interp_fp"]
-    cells = [Cell(k, FLOW, "sse", SIZE) for k in kernels]
-    now = [0.0]
-    expired = Deadline(1.0, clock=lambda: now[0])
-    now[0] = 2.0
-    results = run_cells(cells, jobs=1, deadline=expired)
-    assert len(results) == len(cells)
-    for r in results:
-        assert not r.ok
-        assert r.error_kind == "CellError[deadline]"
-        assert "deadline" in (r.error or "")
 
 
 # -- CircuitBreaker -----------------------------------------------------------

@@ -4,8 +4,8 @@ Proves the three de-serialization properties of the hot path:
 
 * **single-flight** — N concurrent identical cold misses perform exactly
   one JIT compile; followers share the leader's ``CompiledKernel`` (and
-  its failure), are marked ``coalesced``, and honour their own deadline
-  while waiting;
+  its failure), are marked ``coalesced``, honour their own deadline
+  while waiting, and depose a leader wedged past the flight budget;
 * **scoped locking** — distinct (kernel, flow, target) shapes compile
   *genuinely in parallel* (a barrier inside the compiler proves no
   global lock serializes them — under the old one-RLock design this
@@ -13,7 +13,8 @@ Proves the three de-serialization properties of the hot path:
 * **hammer invariants** — under a seeded mixed-shape thread hammer:
   response order is stable, every unique key compiles exactly once
   (one non-cached, non-coalesced ``jit`` span and one cache ``put``
-  per key), and admission depth never exceeds the limit.
+  per key), and admission depth never exceeds the limit; the sharded
+  service counters lose no increment under contention.
 
 Every test gates on explicit events/polling, never bare sleeps, so the
 suite is deterministic on slow CI runners.
@@ -32,6 +33,7 @@ from repro import obs
 from repro.harness import flows as flows_mod
 from repro.jit import OptimizingJIT
 from repro.service import KernelService, ServiceRequest
+from repro.service import core as core_mod
 from repro.service.singleflight import Flight, SingleFlight
 
 SIZE = 16
@@ -288,6 +290,52 @@ def test_follower_deadline_honoured_while_waiting():
     assert svc.health()["breakers"].get("sse", "closed") == "closed"
 
 
+def test_follower_usurps_wedged_inprocess_leader(tmp_path, monkeypatch):
+    """The flight budget guards in-process flights: a follower that has
+    waited past it removes the wedged flight from the single-flight
+    table and compiles for itself."""
+    monkeypatch.setattr(core_mod, "FLIGHT_BUDGET_S", 0.2)
+    gate = threading.Event()
+    state = {"n": 0}
+    lock = threading.Lock()
+
+    class WedgedFirstJIT(flows_mod.FLOWS[FLOW][1]):
+        def compile(self, *args, **kwargs):
+            with lock:
+                state["n"] += 1
+                first = state["n"] == 1
+            if first:
+                gate.wait(timeout=10.0)  # wedge the first leader
+            return super().compile(*args, **kwargs)
+
+    svc = KernelService(cache_dir=str(tmp_path / "cache"), seed=0,
+                        workers=4)
+    try:
+        with _Patched(FLOW, WedgedFirstJIT):
+            results = [None, None]
+
+            def worker(i):
+                results[i] = svc.handle(_req())
+
+            threads = [threading.Thread(target=worker, args=(i,))
+                       for i in range(2)]
+            for t in threads:
+                t.start()
+            # Let the usurper finish, then release the wedged leader.
+            _poll(lambda: results[0] is not None or results[1] is not None,
+                  what="the usurper's response")
+            gate.set()
+            for t in threads:
+                t.join(timeout=20.0)
+    finally:
+        gate.set()
+        svc.close()
+    assert all(r is not None and r.ok for r in results)
+    stats = svc.stats()
+    assert stats["flight_usurps"] >= 1
+    assert stats["singleflight"]["usurped"] >= 1
+
+
 def test_distinct_kernels_compile_in_parallel():
     """Scoped locking: four distinct keys must be INSIDE the JIT at the
     same time.  A barrier inside the compiler proves it — under the old
@@ -465,3 +513,51 @@ def test_warm_responses_byte_identical_to_cold_under_concurrency(tmp_path):
         assert resp.result.bytecode_bytes == ref.bytecode_bytes
     assert any(r.from_cache for r in warm)
     assert svc.stats()["retries"] == 0
+
+
+# -- sharded counters ---------------------------------------------------------
+
+
+def test_sharded_counters_sum_exactly_under_contention():
+    counters = core_mod._ShardedCounters(["a", "b"])
+    per_thread, threads_n = 5000, 8
+
+    def hammer():
+        for _ in range(per_thread):
+            counters.bump("a")
+            counters.bump("b", 2)
+
+    threads = [threading.Thread(target=hammer) for _ in range(threads_n)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    snap = counters.snapshot()
+    assert snap["a"] == per_thread * threads_n
+    assert snap["b"] == 2 * per_thread * threads_n
+
+
+def test_service_stats_stay_consistent_while_hammered(tmp_path):
+    """stats() snapshots mid-traffic must never lose increments."""
+    svc = KernelService(cache_dir=str(tmp_path / "cache"), seed=0,
+                        workers=4)
+    try:
+        stop = threading.Event()
+        snaps = []
+
+        def reader():
+            while not stop.is_set():
+                snaps.append(svc.stats()["requests"])
+
+        t = threading.Thread(target=reader)
+        t.start()
+        n = 24
+        responses = svc.serve([_req()] * n)
+        stop.set()
+        t.join()
+        assert all(r.ok for r in responses)
+        assert svc.stats()["requests"] == n
+        assert all(s <= n for s in snaps)
+        assert snaps == sorted(snaps)  # monotonic merge
+    finally:
+        svc.close()
