@@ -15,7 +15,7 @@ from conftest import once
 from repro.harness.report import table
 from repro.jit import MonoJIT
 from repro.kernels import get_kernel
-from repro.machine import VM, ArrayBuffer
+from repro.machine import VM
 from repro.targets import SCALAR
 
 #: Simple fp kernels only: the naive VF=1 strategy is ill-defined for

@@ -7,8 +7,6 @@ This bench disables the reuse (``enable_realign_reuse=False``) and measures
 the cost on AltiVec, the explicit-realignment target.
 """
 
-import statistics
-
 from conftest import once
 from repro.harness import ablation_realign_reuse
 from repro.harness.report import table

@@ -51,6 +51,9 @@ CLIENTS = 8
 KILLS = 3               # per kill phase: one per third, every index once
 QUICK_REQUESTS = 48
 QUICK_CLIENTS = 4
+#: fewest requests in a phase for its p99 to be recorded: over fewer,
+#: the 99th percentile is (or is next to) the phase's maximum.
+P99_MIN_REQUESTS = 100
 
 
 def _schedule(n_requests: int, seed: int, size_base: int):
@@ -167,7 +170,8 @@ def _phase_payload(name, elapsed, lats, tally, kills):
                       "failover + retries included)",
             "p50": round(_pct(lats, 0.50) * 1e3, 3),
             "p90": round(_pct(lats, 0.90) * 1e3, 3),
-            "p99": round(_pct(lats, 0.99) * 1e3, 3),
+            "p99": (round(_pct(lats, 0.99) * 1e3, 3)
+                    if len(lats) >= P99_MIN_REQUESTS else None),
             "mean": round(sum(lats) / len(lats) * 1e3, 3),
             "max": round(lats[-1] * 1e3, 3),
         },
@@ -182,7 +186,7 @@ def measure(n_requests=REQUESTS, n_clients=CLIENTS, seed=0,
     cache_dir = tempfile.mkdtemp(prefix="repro-bench-fleet-")
     sup = FleetSupervisor(
         replicas, cache_dir, workers=4,
-        queue_limit=max(64, n_requests), max_inflight=max(64, n_requests),
+        queue_limit=max(64, n_requests),
         probe_interval_s=0.1, probe_timeout_s=2.0,
         restart_backoff_base=0.02, restart_backoff_cap=0.1,
         restart_budget=10 ** 9, spawn_timeout_s=120.0, seed=seed,
@@ -270,8 +274,9 @@ def _print(payload) -> None:
     for ph in payload["phases"]:
         lat = ph["latency_ms"]
         kills = len(ph["kills"])
+        p99 = "n/a" if lat["p99"] is None else f"{lat['p99']:.2f}ms"
         print(f"  {ph['phase']:>7}: {ph['throughput_rps']:.1f} req/s, "
-              f"p50={lat['p50']:.2f}ms p99={lat['p99']:.2f}ms "
+              f"p50={lat['p50']:.2f}ms p99={p99} "
               f"max={lat['max']:.2f}ms "
               f"(kills={kills}, failovers={ph['failovers']}, "
               f"warm {ph['hot_warm_hits']}/{ph['hot_served']})")
@@ -315,7 +320,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--max-p99-ms", type=float, default=None,
                         help="exit non-zero if the kill-phase p99 "
-                             "exceeds this")
+                             "exceeds this or has too few requests "
+                             f"(< {P99_MIN_REQUESTS}) to be recorded")
     args = parser.parse_args(argv)
 
     n_requests = args.requests or (QUICK_REQUESTS if args.quick else REQUESTS)
@@ -332,7 +338,13 @@ def main(argv=None) -> int:
     print(f"wrote {args.out}")
 
     p99 = payload["phases"][1]["latency_ms"]["p99"]
-    if args.max_p99_ms is not None and p99 > args.max_p99_ms:
+    if args.max_p99_ms is None:
+        return 0
+    if p99 is None:
+        print(f"FAIL: no kill-phase p99 to gate: a phase needs at least "
+              f"{P99_MIN_REQUESTS} requests", file=sys.stderr)
+        return 1
+    if p99 > args.max_p99_ms:
         print(f"FAIL: kill-phase p99 {p99:.2f}ms > {args.max_p99_ms:.2f}ms",
               file=sys.stderr)
         return 1

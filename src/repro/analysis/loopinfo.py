@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..ir import Block, Const, ForLoop, Function, If, Instr
-from .affine import Affine, affine_of
+from ..ir import Block, Const, ForLoop, Function, If
+from .affine import affine_of
 
 __all__ = ["LoopInfo", "LoopNest", "analyze_loops", "const_trip_count"]
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 from ..ir import ArrayRef, ForLoop, Instr, Load, Store, Value, walk
 from .affine import Affine, affine_of
-from .loopinfo import LoopInfo
 
 __all__ = ["MemRef", "collect_memrefs", "linearize"]
 

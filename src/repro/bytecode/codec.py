@@ -25,7 +25,6 @@ from ..ir import (
     ArrayRef,
     BinOp,
     Block,
-    BlockArg,
     Cmp,
     Const,
     Convert,
@@ -69,9 +68,7 @@ from ..ir.types import (
     I16,
     I32,
     I64,
-    ScalarType,
     VectorType,
-    scalar_type_from_name,
 )
 from .verify import BytecodeVerifyError
 from .writer import FormatError, Reader, Writer

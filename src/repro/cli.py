@@ -340,7 +340,6 @@ def _serve_listen(args, svc) -> int:
     host, port = parse_address(args.listen)
     gw = GatewayServer(
         svc, host, port,
-        max_inflight=args.max_inflight,
         idle_timeout_s=args.idle_timeout,
         drain_grace_s=args.drain_grace,
         drain_budget_s=args.drain_budget,
@@ -353,14 +352,14 @@ def _serve_listen(args, svc) -> int:
         # child stdout for the ephemeral port must never race readiness.
         print(f"LISTENING {gw.address[0]}:{gw.address[1]}", flush=True)
         print(f"gateway listening on {gw.address[0]}:{gw.address[1]} "
-              f"(max_inflight={gw.max_inflight}; SIGTERM drains "
+              f"(queue_limit={svc.admission.limit}; SIGTERM drains "
               f"gracefully)", flush=True)
         await gw.run_until_signal()
 
     asyncio.run(_run())
     stats = gw.stats()
     print(f"gateway drained: {stats['served']} request(s) served, "
-          f"{stats['rejected_overload']} shed, "
+          f"{svc.stats()['shed']} shed, "
           f"{stats['rejected_drain']} drain-rejected, "
           f"{stats['frame_errors']} frame error(s)", flush=True)
     return 0
@@ -388,7 +387,9 @@ def _serve_fleet(args) -> int:
     sup = FleetSupervisor(
         replicas=args.replicas,
         cache_dir=cache_dir,
-        max_inflight=args.max_inflight,
+        workers=args.jobs,
+        queue_limit=args.queue_limit,
+        seed=args.seed,
     )
     try:
         sup.start()
@@ -623,7 +624,9 @@ def build_parser() -> argparse.ArgumentParser:
                    dest="jobs",
                    help="service worker threads (--workers is an alias)")
     p.add_argument("--queue-limit", type=int, default=32,
-                   help="admission-queue bound (requests beyond it shed)")
+                   help="admission bound: requests beyond it in flight "
+                   "are shed (the only bound, also under --listen and "
+                   "for each --replicas child)")
     p.add_argument("--replicas", type=int, default=0,
                    help="run a supervised fleet of N gateway replicas "
                    "sharing one cache directory instead of a single "
@@ -637,9 +640,6 @@ def build_parser() -> argparse.ArgumentParser:
                    "bind the network gateway (port 0 = ephemeral), serve "
                    "until SIGTERM/SIGINT, then drain gracefully and "
                    "exit 0")
-    p.add_argument("--max-inflight", type=int, default=64,
-                   help="gateway backpressure bound: concurrent requests "
-                   "beyond it get an immediate classified shed")
     p.add_argument("--idle-timeout", type=float, default=30.0,
                    help="per-read idle timeout reclaiming slowloris "
                    "connections")

@@ -18,7 +18,7 @@ from ..ir import (
     UnOp,
     Yield,
 )
-from ..ir.types import BOOL, I32, scalar_type_from_name
+from ..ir.types import I32, scalar_type_from_name
 from .ast_nodes import (
     ArrayParam,
     AssignStmt,

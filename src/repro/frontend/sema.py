@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import ReproError
-from ..ir.types import BOOL, F32, F64, I32, ScalarType, scalar_type_from_name
+from ..ir.types import BOOL, F32, I32, ScalarType, scalar_type_from_name
 from .ast_nodes import (
     ArrayParam,
     AssignStmt,

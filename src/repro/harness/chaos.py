@@ -58,6 +58,7 @@ classified one a ``silent-wrong`` (a lost answer) naming its tag.
 
 from __future__ import annotations
 
+import contextlib
 import random
 import shutil
 import tempfile
@@ -412,6 +413,21 @@ class _Soak:
         }
 
     @staticmethod
+    @contextlib.contextmanager
+    def _saturated(svc):
+        """Hold every admission slot of ``svc`` for the ``with`` body (the
+        campaign is serial, so nothing else competes for them)."""
+        adm = svc.admission
+        slots = []
+        try:
+            while adm.depth < adm.limit:
+                slots.append(adm.admit())
+            yield
+        finally:
+            for s in slots:
+                s.__exit__(None, None, None)
+
+    @staticmethod
     def _surviving(pids, timeout_s: float) -> list:
         """The pids still alive after waiting up to ``timeout_s``."""
         deadline = time.perf_counter() + timeout_s
@@ -678,16 +694,9 @@ class _ServiceSoak(_Soak):
 
     def overload(self, kernel: str) -> ChaosTrial:
         """Saturate admission, observe a classified shed, then recover."""
-        adm = self.svc.admission
-        slots = []
-        try:
-            while adm.depth < adm.limit:
-                slots.append(adm.admit())
-            req = self._payload(kernel)
+        req = self._payload(kernel)
+        with self._saturated(self.svc):
             resp = self._serve(req)
-        finally:
-            for s in slots:
-                s.__exit__(None, None, None)
         return self._judge_shed("svc-overload", "admission-saturation",
                                 req, resp, self._serve(req))
 
@@ -799,8 +808,8 @@ class _GatewaySoak(_Soak):
         # drain_grace_s=0 because readiness-vs-listener ordering is the
         # drain epilogue's (and the unit tests') job, not the soak's.
         self.gw = ThreadedGateway(
-            self.svc, max_inflight=8, idle_timeout_s=0.35,
-            drain_grace_s=0.0, drain_budget_s=10.0,
+            self.svc, idle_timeout_s=0.35, drain_grace_s=0.0,
+            drain_budget_s=10.0,
         )
         self.addr = self.gw.address
         self.client = GatewayClient(
@@ -1031,17 +1040,12 @@ class _GatewaySoak(_Soak):
         )
 
     def overload(self, kernel: str) -> ChaosTrial:
+        """Saturate the service's admission behind the gateway, observe
+        a fast classified shed over the wire, then recover."""
         req = self._payload(kernel)
-        gw = self.gw.gateway
-        # Saturate the gateway's inflight gauge (the campaign is serial,
-        # so nothing else is touching it), observe a fast classified
-        # shed, then release and observe recovery.
-        gw._inflight += gw.max_inflight
-        try:
+        with self._saturated(self.svc):
             resp = self.fast.request(req, deadline_s=10.0)
-        finally:
-            gw._inflight -= gw.max_inflight
-        return self._judge_shed("gw-overload", "inflight-saturation", req,
+        return self._judge_shed("gw-overload", "admission-saturation", req,
                                 resp, self.client.request(req,
                                                           deadline_s=60.0))
 
@@ -1223,8 +1227,7 @@ class _FleetSoak(_Soak):
         super().__init__(seed, size)
         self.replicas = int(replicas)
         self.sup = FleetSupervisor(
-            self.replicas, self.root, workers=4,
-            queue_limit=32, max_inflight=32,
+            self.replicas, self.root, workers=4, queue_limit=32,
             probe_interval_s=0.1, probe_timeout_s=2.0, probe_failures=3,
             restart_backoff_base=0.02, restart_backoff_cap=0.1,
             # Kill storms are the point of this campaign; the flap->park

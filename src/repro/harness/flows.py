@@ -35,7 +35,7 @@ from ..errors import ReproError
 from ..frontend import compile_source
 from ..ir import Function, print_function
 from ..jit import CompiledKernel, MonoJIT, NativeBackend, OptimizingJIT
-from ..kernels import Kernel, KernelInstance, get_kernel
+from ..kernels import KernelInstance
 from ..machine import ArrayBuffer
 from ..targets import Target, get_target
 from ..vectorizer import native_config, split_config, vectorize_function

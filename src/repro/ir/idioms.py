@@ -23,7 +23,6 @@ from __future__ import annotations
 from .instructions import Instr
 from .types import (
     BOOL,
-    F32,
     I8,
     I32,
     ScalarType,

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 from ..errors import ReproError
 from .idioms import DotProduct, RealignLoad, VStore
-from .instructions import BinOp, Cmp, Convert, Instr, Load, Select, Store
+from .instructions import BinOp, Cmp, Instr, Load, Select, Store
 from .structure import Block, ForLoop, Function, If, Return, Yield
 from .types import I32, VectorType, widened
-from .values import ArrayRef, BlockArg, Const, Value
+from .values import ArrayRef, Const, Value
 
 __all__ = ["verify_function", "VerificationError"]
 

@@ -26,7 +26,7 @@ happens here) and:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .. import faults
 from ..errors import FaultInjected, ReproError
@@ -57,8 +57,6 @@ from ..ir import (
     Pack,
     RealignLoad,
     Reduce,
-    Select,
-    UnOp,
     Unpack,
     Value,
     VersionGuard,

@@ -17,7 +17,7 @@ costing a test per invocation.
 from __future__ import annotations
 
 from ..errors import ReproError
-from ..ir import Argument, Const, Function, Value, clone_block, walk
+from ..ir import Const, Function, Value, clone_block, walk
 from ..ir.types import ScalarType
 
 __all__ = ["specialize_scalars", "SpecializationError"]

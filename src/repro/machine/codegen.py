@@ -58,7 +58,7 @@ import numpy as np
 from .. import faults
 from ..ir.types import ScalarType
 from ..targets.base import X87_FP_EXTRA, Target
-from .memory import GUARD_BYTES, ArrayBuffer
+from .memory import GUARD_BYTES
 from .mir import MFunction, MInstr
 from .vm import (
     _BIN_FUNCS,

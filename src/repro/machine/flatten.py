@@ -20,11 +20,9 @@ import itertools
 from dataclasses import dataclass
 
 from ..ir import (
-    Argument,
     ArrayRef,
     BinOp,
     Block,
-    BlockArg,
     Cmp,
     Const,
     Convert,
@@ -40,7 +38,7 @@ from ..ir import (
     Value,
     Yield,
 )
-from ..ir.types import BOOL, I32, I64, ScalarType, VectorType
+from ..ir.types import BOOL, I32, I64, VectorType
 from . import ops as mops
 from .mir import FPR, GPR, VEC, ArraySlot, MFunction, MInstr, VReg
 

@@ -13,7 +13,7 @@ addressing-mode quality differences between online compilers show up.
 from __future__ import annotations
 
 from ..ir.instructions import Instr
-from ..ir.types import I32, I64, ScalarType, VectorType
+from ..ir.types import I64, VectorType
 from ..ir.values import ArrayRef, Value
 
 __all__ = [

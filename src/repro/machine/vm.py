@@ -30,7 +30,7 @@ import numpy as np
 
 from .. import faults
 from ..errors import ReproError
-from ..ir.types import BOOL, ScalarType
+from ..ir.types import ScalarType
 from ..targets.base import X87_FP_EXTRA, Target
 from .memory import ArrayBuffer
 from .mir import MFunction, MInstr

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from ..ir import (
     Block,
-    Const,
     ForLoop,
     Function,
     If,

@@ -8,7 +8,7 @@ JIT does not — one of the code-quality deltas Figure 5 of the paper shows.
 
 from __future__ import annotations
 
-from ..ir import Block, ForLoop, Function, If, Instr, Value
+from ..ir import Block, ForLoop, Function, If, Instr
 
 __all__ = ["hoist_invariants"]
 

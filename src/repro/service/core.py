@@ -42,6 +42,7 @@ recorded as a :class:`~repro.jit.materialize.DegradationEvent`:
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import random
 import threading
@@ -193,6 +194,12 @@ def _event(kernel: str, target: str, cause: str, detail: str = ""):
     )
 
 
+def _resolved(resp: ServiceResponse) -> Future:
+    fut: Future = Future()
+    fut.set_result(resp)
+    return fut
+
+
 class KernelService:
     """A long-running, multi-threaded JIT compilation service.
 
@@ -291,8 +298,9 @@ class KernelService:
     # -- lifecycle ------------------------------------------------------------
 
     def close(self, wait: bool = True) -> None:
-        """Shut down the worker pool; pass ``wait=False`` to skip
-        waiting for queued thread work entirely."""
+        """Shut down the worker pool; pass ``wait=False`` to return at
+        once, leaving running requests to finish unwaited and cancelling
+        queued ones (each counted ``rejected``)."""
         if not self._closed:
             self._closed = True
             self._pool.shutdown(wait=wait, cancel_futures=not wait)
@@ -319,36 +327,43 @@ class KernelService:
     def submit(self, request: ServiceRequest) -> Future:
         """Enqueue a request onto the worker pool.
 
-        Admission is charged *now* — at submission — so a flood of
+        Admission is charged *now*, on the calling thread, so a flood of
         submissions past ``queue_limit`` is shed immediately (the future
-        resolves to a ``shed`` response) instead of parking unboundedly
-        in the executor queue.
+        is already resolved to a ``shed`` response) instead of parking
+        unboundedly in the executor queue.  The request runs in a copy
+        of the caller's context, so its ``service.request`` span nests
+        under the span the caller has open (the gateway's
+        ``service.gateway.request``).
         """
         self._bump("requests")
         try:
             slot = self.admission.admit()
         except OverloadError as exc:
-            fut: Future = Future()
-            fut.set_result(self._shed_response(request, exc))
-            return fut
+            return _resolved(self._shed_response(request, exc))
 
         def work() -> ServiceResponse:
             with slot:
                 return self._guarded_serve(request)
 
+        def settle(fut: Future) -> None:
+            # close(wait=False) cancels work still queued: it never ran,
+            # so hand its slot back here and count it as rejected.
+            if fut.cancelled():
+                slot.__exit__(None, None, None)
+                self._bump("rejected")
+
         try:
-            return self._pool.submit(work)
+            fut = self._pool.submit(contextvars.copy_context().run, work)
         except RuntimeError as exc:  # pool shut down
             slot.__exit__(None, None, None)
-            fut = Future()
-            fut.set_result(
-                ServiceResponse(
-                    request, "rejected", error=classify(exc),
-                    events=[_event(request.kernel, request.target,
-                                   "service-closed", str(exc))],
-                )
-            )
-            return fut
+            self._bump("rejected")
+            return _resolved(ServiceResponse(
+                request, "rejected", error=classify(exc),
+                events=[_event(request.kernel, request.target,
+                               "service-closed", str(exc))],
+            ))
+        fut.add_done_callback(settle)
+        return fut
 
     def serve(self, requests) -> list:
         """Submit a batch concurrently; responses in request order."""

@@ -7,12 +7,13 @@ over a wire, finished by heterogeneous clients.  This module puts a
 real protocol (:mod:`repro.service.wire`) in front of
 :class:`~repro.service.KernelService`, built robustness-first:
 
-* **Bounded backpressure** — the gateway admits at most
-  ``max_inflight`` concurrent service calls.  Excess requests are
-  answered *immediately* with a classified shed (the same
-  ``OverloadError`` tag the service's admission queue uses) instead of
-  parking in an unbounded queue; overload costs the caller one RTT, not
-  a timeout, and never balloons gateway memory.
+* **One admission bound** — every compile frame goes to
+  :meth:`KernelService.submit`, which charges the service's admission
+  queue on the event loop and runs the request on the service's worker
+  pool.  A frame past ``queue_limit`` is answered *immediately* with a
+  classified shed (``OverloadError``) instead of parking in an
+  unbounded queue; overload costs the caller one RTT, not a timeout,
+  and the ``health`` verb reports it.
 * **Deadline propagation** — the client's remaining budget rides in the
   frame header and lands in ``ServiceRequest.deadline_s``, so a slow
   compile can never outlive the caller that wanted it.
@@ -27,7 +28,8 @@ real protocol (:mod:`repro.service.wire`) in front of
   a drain budget with their responses fully flushed, late requests get
   a classified :class:`DrainError` rejection, and connections close
   cleanly — a client mid-frame sees a complete response or a clean EOF,
-  never a torn frame.  Then the service's worker pool is closed.
+  never a torn frame.  Then the service's worker pool is closed,
+  abandoning whatever outlived the drain budget.
 
 Every served request is one ``service.gateway.request`` span wrapping
 the usual ``service.request`` span tree, and the gateway feeds
@@ -41,7 +43,6 @@ import contextlib
 import socket
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from .. import faults, obs
 from ..errors import ReproError, classify
@@ -100,10 +101,10 @@ def _jsonable(obj):
 class GatewayServer:
     """One asyncio TCP gateway fronting one :class:`KernelService`.
 
-    The event loop owns framing, backpressure, and drain; service calls
-    run on a dedicated thread pool (``handler_threads``) because
-    :meth:`KernelService.handle` is blocking by design.  States move
-    strictly ``running -> draining -> closed``.
+    The event loop owns framing, wire deadlines, and drain; compile
+    frames go through :meth:`KernelService.submit`, so admission and the
+    worker pool are the service's own.  States move strictly
+    ``running -> draining -> closed``.
 
     ``close_service=True`` makes :meth:`drain` also close the service's
     worker pool — the configuration the CLI uses, so a SIGTERM tears the
@@ -116,8 +117,6 @@ class GatewayServer:
         host: str = "127.0.0.1",
         port: int = 0,
         *,
-        max_inflight: int = 64,
-        handler_threads: int = 8,
         idle_timeout_s: float | None = 30.0,
         drain_grace_s: float = 0.05,
         drain_budget_s: float = 10.0,
@@ -126,19 +125,15 @@ class GatewayServer:
         self.service = service
         self.host = host
         self.port = int(port)
-        self.max_inflight = int(max_inflight)
         self.idle_timeout_s = idle_timeout_s
         self.drain_grace_s = float(drain_grace_s)
         self.drain_budget_s = float(drain_budget_s)
         self.close_service = bool(close_service)
         self.state = "running"
         self._server: asyncio.AbstractServer | None = None
-        self._executor = ThreadPoolExecutor(
-            max_workers=int(handler_threads),
-            thread_name_prefix="repro-gateway",
-        )
+        #: compile frames handed to the service and not yet answered;
+        #: only the drain waits on it (admission bounds it).
         self._inflight = 0
-        self._peak_inflight = 0
         self._idle = asyncio.Event()
         self._idle.set()
         self._writers: set[asyncio.StreamWriter] = set()
@@ -146,7 +141,6 @@ class GatewayServer:
             "connections": 0,
             "requests": 0,
             "served": 0,
-            "rejected_overload": 0,
             "rejected_drain": 0,
             "frame_errors": 0,
             "conn_resets": 0,
@@ -185,7 +179,9 @@ class GatewayServer:
            responses fully flushed;
         5. open connections close cleanly (a client mid-request-frame
            gets EOF, never a torn response frame);
-        6. with ``close_service``, the service's worker pool shuts down.
+        6. with ``close_service``, the service's worker pool shuts down
+           without waiting: a request still running past the budget is
+           abandoned, and one still queued is cancelled.
         """
         if self.state != "running":
             return
@@ -196,10 +192,10 @@ class GatewayServer:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        # In-flight requests (already dispatched to the service) finish
+        # In-flight requests (already submitted to the service) finish
         # under the drain budget; anything still running past it is
-        # abandoned to the executor's daemon threads — the response is
-        # lost but no torn frame is ever written.
+        # abandoned — the response is lost but no torn frame is ever
+        # written.
         with contextlib.suppress(asyncio.TimeoutError):
             await asyncio.wait_for(
                 self._idle.wait(), timeout=self.drain_budget_s
@@ -208,9 +204,8 @@ class GatewayServer:
             with contextlib.suppress(Exception):
                 writer.close()
         self.state = "closed"
-        self._executor.shutdown(wait=False)
         if self.close_service:
-            self.service.close()
+            self.service.close(wait=False)
 
     async def run_until_signal(self, signals=("SIGTERM", "SIGINT")) -> None:
         """Serve until a termination signal, then drain.  The CLI's
@@ -247,8 +242,6 @@ class GatewayServer:
             "state": self.state,
             "address": list(self.address),
             "inflight": self._inflight,
-            "peak_inflight": self._peak_inflight,
-            "max_inflight": self.max_inflight,
             "open_connections": len(self._writers),
             **self._counts,
         }
@@ -370,10 +363,10 @@ class GatewayServer:
                 "v": 1, "op": "ready", "ready": self.ready,
                 "state": self.state,
             }
+        # health and stats read counters under short locks: answered on
+        # the loop, so a saturated worker pool cannot delay them.
         if op == "health":
-            health = await asyncio.get_running_loop().run_in_executor(
-                None, self.service.health
-            )
+            health = self.service.health()
             if not self.ready:
                 health["status"] = self.state
             return {
@@ -381,12 +374,9 @@ class GatewayServer:
                 "state": self.state, "health": _jsonable(health),
             }
         if op == "stats":
-            stats = await asyncio.get_running_loop().run_in_executor(
-                None, self.service.stats
-            )
             return {
                 "v": 1, "op": "stats", "gateway": _jsonable(self.stats()),
-                "service": _jsonable(stats),
+                "service": _jsonable(self.service.stats()),
             }
         if op == "compile":
             return await self._dispatch_compile(payload, deadline_s)
@@ -404,18 +394,6 @@ class GatewayServer:
             return self._reject_payload(
                 payload, "rejected", classify(exc), "gateway-drain", str(exc)
             )
-        if self._inflight >= self.max_inflight:
-            # Gateway-level backpressure: answered from the event loop
-            # in microseconds, without touching the handler pool — the
-            # fast classified rejection that makes overload cheap for
-            # both sides.  (The service's own admission queue still
-            # guards the thread path below.)
-            self._bump("rejected_overload")
-            return self._reject_payload(
-                payload, "shed", "OverloadError", "gateway-overload",
-                f"gateway at max_inflight={self.max_inflight}; request "
-                f"shed, retry with backoff",
-            )
         try:
             request = self._parse_request(payload, deadline_s)
         except (TypeError, ValueError) as exc:
@@ -423,13 +401,22 @@ class GatewayServer:
                 payload, "rejected", "bad-request", "bad-request", str(exc)
             )
         self._inflight += 1
-        self._peak_inflight = max(self._peak_inflight, self._inflight)
         self._idle.clear()
         obs.gauge("gateway.inflight", self._inflight)
         try:
-            resp = await asyncio.get_running_loop().run_in_executor(
-                self._executor, self._handle_traced, request, deadline_s
-            )
+            # The span is open on the loop while the service works;
+            # submit runs the request in a copy of this context, so the
+            # service.request span nests under it.
+            with obs.span("service.gateway.request", phase="service",
+                          kernel=request.kernel, flow=request.flow,
+                          target=request.target) as sp:
+                if deadline_s is not None:
+                    sp.set(deadline_s=deadline_s)
+                fut = self.service.submit(request)
+                # A shed comes back already resolved: no loop round trip.
+                resp = (fut.result() if fut.done()
+                        else await asyncio.wrap_future(fut))
+                sp.set(status=resp.status, from_cache=resp.from_cache)
         finally:
             self._inflight -= 1
             obs.gauge("gateway.inflight", self._inflight)
@@ -441,18 +428,6 @@ class GatewayServer:
             bounds=LATENCY_BUCKETS,
         )
         return response_payload(resp)
-
-    def _handle_traced(self, request: ServiceRequest, deadline_s):
-        """Runs on the handler pool: one ``service.gateway.request``
-        span wrapping the service's own ``service.request`` span."""
-        with obs.span("service.gateway.request", phase="service",
-                      kernel=request.kernel, flow=request.flow,
-                      target=request.target) as sp:
-            if deadline_s is not None:
-                sp.set(deadline_s=deadline_s)
-            resp = self.service.handle(request)
-            sp.set(status=resp.status, from_cache=resp.from_cache)
-            return resp
 
     @staticmethod
     def _parse_request(payload: dict, deadline_s) -> ServiceRequest:

@@ -128,7 +128,6 @@ class FleetSupervisor:
         *,
         workers: int = 4,
         queue_limit: int = 64,
-        max_inflight: int = 64,
         probe_interval_s: float = 0.2,
         probe_timeout_s: float = 1.0,
         probe_failures: int = 3,
@@ -144,7 +143,6 @@ class FleetSupervisor:
         self.cache_dir = str(cache_dir)
         self.workers = int(workers)
         self.queue_limit = int(queue_limit)
-        self.max_inflight = int(max_inflight)
         self.probe_interval_s = float(probe_interval_s)
         self.probe_timeout_s = float(probe_timeout_s)
         self.probe_failures = int(probe_failures)
@@ -177,7 +175,6 @@ class FleetSupervisor:
             "--cache-dir", self.cache_dir,
             "--jobs", str(self.workers),
             "--queue-limit", str(self.queue_limit),
-            "--max-inflight", str(self.max_inflight),
             "--seed", str(self.seed + index),
         ]
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..ir.types import F32, F64, I8, I16, I32, I64, ScalarType
+from ..ir.types import F32, I8, I16, I32, ScalarType
 
 __all__ = ["Target", "CostTable", "BASE_COSTS"]
 

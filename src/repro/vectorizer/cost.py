@@ -31,7 +31,7 @@ from ..ir import BinOp, Cmp, Convert, Load, Select, Store, UnOp, Yield, walk
 from ..ir.types import BOOL, ScalarType
 from .config import VectorizerConfig
 from .legality import Legality
-from .stmt import StreamPlan, StridedLoadGroup, StridedStoreGroup, UnitLoadStream
+from .stmt import StreamPlan
 
 __all__ = ["CostEstimate", "GENERIC_SIMD", "estimate_loop_cost", "SimdProfile"]
 

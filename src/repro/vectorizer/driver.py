@@ -151,7 +151,6 @@ class _Driver:
 
     def _estimate(self, info: LoopInfo, legal):
         from .cost import estimate_loop_cost
-        from .legality import Legality
         from .stmt import plan_streams
 
         try:

@@ -46,7 +46,7 @@ from ..ir.types import I32, VectorType, narrowed
 from ..ir.instructions import Convert
 from .config import VectorizerConfig
 from .legality import Legality
-from .stmt import PlanError, StreamPlan, VecCtx, plan_streams
+from .stmt import PlanError, VecCtx, plan_streams
 
 __all__ = ["build_vectorized_region", "VectorizedRegion"]
 

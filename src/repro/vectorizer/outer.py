@@ -20,12 +20,10 @@ from ..analysis import collect_memrefs, dependences_for_loop, find_reductions
 from ..analysis.loopinfo import const_trip_count
 from ..ir import (
     Block,
-    BlockArg,
     Const,
     ForLoop,
     If,
     IRBuilder,
-    Instr,
     LoopBound,
     Store,
     Value,
@@ -33,7 +31,7 @@ from ..ir import (
     Yield,
     walk,
 )
-from ..ir.types import BOOL, I32, ScalarType, VectorType
+from ..ir.types import BOOL, I32, ScalarType
 from .config import VectorizerConfig
 from .legality import Legality
 from .loop import _clone_scalar_loop

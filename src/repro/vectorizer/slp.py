@@ -40,7 +40,6 @@ from ..ir import (
     LoopBound,
     RealignLoad,
     Select,
-    Store,
     UnOp,
     Value,
     VersionGuard,

@@ -25,12 +25,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..analysis.affine import Affine, affine_of
+from ..analysis.affine import Affine
 from ..errors import ReproError
 from ..analysis.alignment import MisalignmentHint, misalignment_hint
-from ..analysis.memrefs import linearize
 from ..ir import (
-    ALoad,
     AlignLoad,
     BinOp,
     BlockArg,
@@ -40,10 +38,7 @@ from ..ir import (
     CvtIntFp,
     DotProduct,
     Extract,
-    GetRT,
     InitAffine,
-    InitPattern,
-    InitReduc,
     InitUniform,
     Interleave,
     IRBuilder,

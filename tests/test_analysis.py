@@ -2,26 +2,22 @@
 dependence testing (with a hypothesis soundness check against brute force),
 reductions, and alignment hints."""
 
-import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import (
     Affine,
-    affine_of,
     analyze_loops,
     collect_memrefs,
     const_trip_count,
     dependences_for_loop,
     find_reductions,
-    linearize,
     misalignment_hint,
 )
 from repro.analysis import test_dependence as dep_test
 from repro.analysis.memrefs import MemRef
 from repro.frontend import compile_source
-from repro.ir import F32, I32, Argument, ArrayRef, ForLoop, walk
+from repro.ir import F32, I32, Argument, ArrayRef
 from repro.ir.idioms import MOD_HINT
 
 

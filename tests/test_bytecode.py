@@ -19,7 +19,6 @@ from repro.ir import (
     GetRT,
     RealignLoad,
     VersionGuard,
-    VStore,
     print_function,
     verify_function,
     walk,

@@ -1,6 +1,5 @@
 """Tests for the command-line interface."""
 
-import pathlib
 import subprocess
 import sys
 

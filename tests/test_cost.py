@@ -1,11 +1,9 @@
 """Tests for the vectorization cost model (§II.c)."""
 
-import pytest
-
 from repro.analysis.loopinfo import LoopInfo
 from repro.frontend import compile_source
 from repro.ir import Const, ForLoop, walk
-from repro.targets import ALTIVEC, NEON, SSE
+from repro.targets import NEON
 from repro.vectorizer import (
     check_inner_loop,
     estimate_loop_cost,

@@ -1,6 +1,8 @@
 """Documentation quality gates: every public module, class, and function
-carries a docstring, and the README's promises match the code."""
+carries a docstring, the README's promises match the code, and no module
+imports a name it never uses."""
 
+import ast
 import importlib
 import inspect
 import pathlib
@@ -77,3 +79,45 @@ class TestReadmePromises:
         text = (REPO / "DESIGN.md").read_text()
         for match in re.finditer(r"benchmarks/(\w+\.py)", text):
             assert (REPO / "benchmarks" / match.group(1)).exists(), match.group(0)
+
+
+def _unused_imports(path: pathlib.Path) -> list:
+    """``(line, name)`` of every name ``path`` imports and never reads.
+
+    Exempt: ``__future__`` imports, side-effect imports marked
+    ``# noqa: F401``, and names listed in ``__all__`` (re-exports).  A
+    name counts as used if it is read anywhere in the file.
+    """
+    text = path.read_text()
+    lines = text.splitlines()
+    tree = ast.parse(text)
+    used, exported, imported = set(), set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            getattr(t, "id", None) == "__all__" for t in node.targets
+        ):
+            exported |= {c.value for c in ast.walk(node.value)
+                         if isinstance(c, ast.Constant)}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) == "__future__" or (
+                "noqa: F401" in lines[node.lineno - 1]
+            ):
+                continue
+            imported += [(node.lineno, a.asname or a.name.split(".")[0])
+                         for a in node.names]
+    return [(line, name) for line, name in imported
+            if name not in used and name not in exported]
+
+
+def test_no_unused_imports():
+    """Every module under ``src/repro`` but the package ``__init__``
+    files (whose imports are the package's API) uses what it imports."""
+    unused = [
+        f"{path.relative_to(REPO)}:{line}: {name}"
+        for path in sorted((REPO / "src" / "repro").rglob("*.py"))
+        if path.name != "__init__.py"
+        for line, name in _unused_imports(path)
+    ]
+    assert not unused, "unused imports:\n" + "\n".join(unused)

@@ -9,18 +9,13 @@ from repro.bytecode import encode_function
 from repro.frontend import SemaError, compile_source
 from repro.ir import (
     F32,
-    F64,
-    I32,
-    I64,
     ForLoop,
-    If,
-    VersionGuard,
     verify_function,
     walk,
 )
 from repro.jit import MonoJIT, OptimizingJIT
 from repro.machine import VM, ArrayBuffer
-from repro.targets import ALTIVEC, NEON, SCALAR, SSE, VSX
+from repro.targets import ALTIVEC, NEON, SSE, VSX
 from repro.vectorizer import split_config, vectorize_function
 
 

@@ -31,7 +31,6 @@ from repro.service import (
     KernelService,
     NetworkError,
     ServiceRequest,
-    ThreadedGateway,
 )
 from repro.service.cache import unpack_kernel
 from repro.service.client import parse_address, shard_index
@@ -222,6 +221,49 @@ def test_supervisor_discovers_announced_ports():
         assert len(pids) == 2
     assert _wait_dead(list(pids.values())) == []
     assert sup.ready()["ready"] is False
+
+
+def test_serve_replicas_forwards_the_service_bounds(monkeypatch, tmp_path):
+    """``repro serve --replicas N`` hands the supervisor its ``--jobs``,
+    ``--queue-limit`` and ``--seed`` (the replicas' only bounds), and the
+    supervisor hands them to every child, seeding each one apart."""
+    from repro import cli
+    from repro.service import supervisor
+
+    seen = {}
+
+    class Recorded(Exception):
+        pass
+
+    class Recorder:
+        def __init__(self, **kwargs):
+            seen.update(kwargs)
+
+        def start(self):
+            raise Recorded()
+
+        def stop(self):
+            pass
+
+    monkeypatch.setattr(supervisor, "FleetSupervisor", Recorder)
+    handlers = {s: signal.getsignal(s)
+                for s in (signal.SIGTERM, signal.SIGINT)}
+    try:
+        with pytest.raises(Recorded):
+            cli.main(["serve", "--replicas", "2", "--cache-dir",
+                      str(tmp_path), "-j", "3", "--queue-limit", "9",
+                      "--seed", "5"])
+    finally:
+        for sig, handler in handlers.items():
+            signal.signal(sig, handler)
+    assert seen == {"replicas": 2, "cache_dir": str(tmp_path),
+                    "workers": 3, "queue_limit": 9, "seed": 5}
+
+    cmd = FleetSupervisor(**seen)._replica_command(1)
+    opts = {flag: cmd[i + 1] for i, flag in enumerate(cmd)
+            if flag.startswith("--")}
+    assert (opts["--jobs"], opts["--queue-limit"], opts["--seed"]) == (
+        "3", "9", "6")
 
 
 def test_spawn_timeout_raises_classified_and_tears_down():

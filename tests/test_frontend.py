@@ -25,11 +25,8 @@ from repro.ir import (
     BOOL,
     F32,
     F64,
-    I8,
     I16,
-    I32,
     Cmp,
-    Const,
     Convert,
     ForLoop,
     If,

@@ -11,13 +11,12 @@ exactly (integer kernels), on a SIMD target and the scalar target.
 import zlib
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bytecode import decode_function, encode_function
 from repro.frontend import compile_source
-from repro.ir import I32, print_function, verify_function
+from repro.ir import I32, verify_function
 from repro.jit import OptimizingJIT, specialize_scalars
 from repro.machine import VM, ArrayBuffer
 from repro.targets import NEON, SSE

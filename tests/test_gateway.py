@@ -82,8 +82,7 @@ def stack(tmp_path_factory):
     cache = tmp_path_factory.mktemp("gw-cache")
     svc = KernelService(cache_dir=str(cache), seed=0, workers=4,
                         queue_limit=32)
-    gw = ThreadedGateway(svc, max_inflight=8, idle_timeout_s=5.0,
-                         drain_grace_s=0.0)
+    gw = ThreadedGateway(svc, idle_timeout_s=5.0, drain_grace_s=0.0)
     yield svc, gw
     gw.close()
     svc.close()
@@ -211,7 +210,7 @@ def test_identical_cold_stampede_compiles_once(tmp_path):
     n = 6
     svc = KernelService(cache_dir=str(tmp_path / "cache"), seed=0,
                         workers=4, queue_limit=32)
-    gw = ThreadedGateway(svc, max_inflight=8, drain_grace_s=0.0)
+    gw = ThreadedGateway(svc, drain_grace_s=0.0)
     frame = encode_frame(_compile_payload("sad_s8"))
     try:
         with obs.recording(trace=False, metrics=True) as ob:
@@ -235,6 +234,31 @@ def test_identical_cold_stampede_compiles_once(tmp_path):
     leaders = [p for p in payloads
                if not p["coalesced"] and not p["from_cache"]]
     assert len(leaders) == 1
+
+
+def test_gateway_span_parents_the_service_span():
+    """Each wire request is one ``service.gateway.request`` root whose
+    child is the request's ``service.request`` span, although the first
+    is opened on the event loop and the second on a service worker (the
+    per-layer rollup of e2ebench relies on this tree)."""
+    with obs.recording(trace=True, metrics=False) as ob:
+        svc = KernelService(cache_dir=None, workers=2)
+        gw = ThreadedGateway(svc, drain_grace_s=0.0)
+        c = GatewayClient([gw.address], retries=0, seed=0)
+        try:
+            for _ in range(2):
+                resp = c.compile_run("saxpy_fp", size=SIZE)
+                assert resp["status"] == "ok"
+        finally:
+            c.close()
+            gw.close()
+            svc.close()
+    spans = ob.spans()
+    roots = [s for s in spans if s.name == "service.gateway.request"]
+    served = [s for s in spans if s.name == "service.request"]
+    assert len(roots) == len(served) == 2
+    assert all(r.parent_id is None for r in roots)
+    assert [s.parent_id for s in served] == [r.span_id for r in roots]
 
 
 def test_ready_health_stats_ops(stack, client):
@@ -281,27 +305,125 @@ def test_wire_deadline_lands_in_service(stack):
 
 
 def test_overload_shed_is_fast_and_classified(tmp_path):
-    svc = KernelService(cache_dir=None, workers=2)
-    gw = ThreadedGateway(svc, max_inflight=2, drain_grace_s=0.0)
+    svc = KernelService(cache_dir=None, workers=2, queue_limit=2)
+    gw = ThreadedGateway(svc, drain_grace_s=0.0)
     try:
         c = GatewayClient([gw.address], retries=0, seed=0)
         try:
-            # Saturate the admission counter from outside: the event
-            # loop sheds without touching the handler pool.
-            gw.gateway._inflight += gw.gateway.max_inflight
+            # Saturate the service's admission from outside: submit
+            # sheds on the event loop without touching the worker pool.
+            slots = [svc.admission.admit() for _ in range(2)]
             start = time.perf_counter()
             resp = c.compile_run("saxpy_fp", size=SIZE)
             elapsed = time.perf_counter() - start
             assert resp["status"] == "shed"
             assert resp["error"] == "OverloadError"
             assert elapsed < 1.0  # one RTT, not a timeout
-            gw.gateway._inflight -= gw.gateway.max_inflight
+            for slot in slots:
+                slot.__exit__(None, None, None)
             resp = c.compile_run("saxpy_fp", size=SIZE)
             assert resp["status"] == "ok"
-            assert gw.stats()["rejected_overload"] >= 1
+            assert svc.stats()["shed"] == 1
         finally:
             c.close()
     finally:
+        gw.close()
+        svc.close()
+
+
+def _blocking_service(queue_limit: int, gate: threading.Event,
+                      workers: int = 2):
+    """A cache-less service whose every admitted request waits on
+    ``gate`` before it is served, and the semaphore each one releases
+    as it starts to wait."""
+    svc = KernelService(cache_dir=None, workers=workers,
+                        queue_limit=queue_limit)
+    serve = svc._guarded_serve
+    started = threading.Semaphore(0)
+
+    def blocked(request):
+        started.release()
+        gate.wait(timeout=60.0)
+        return serve(request)
+
+    svc._guarded_serve = blocked
+    return svc, started
+
+
+def _await(predicate, what: str, timeout_s: float = 10.0) -> None:
+    deadline = time.perf_counter() + timeout_s
+    while not predicate():
+        assert time.perf_counter() < deadline, what
+        time.sleep(0.005)
+
+
+def test_gateway_sheds_at_the_service_admission_bound():
+    """One bound: ``queue_limit`` compile frames held in flight (more
+    than the worker pool runs at once) fill the service's admission, so
+    the next frame is shed and ``health`` reports ``overloaded``."""
+    limit = 10
+    gate = threading.Event()
+    svc, _ = _blocking_service(limit, gate)
+    gw = ThreadedGateway(svc, drain_grace_s=0.0)
+    socks = []
+    try:
+        frame = encode_frame(_compile_payload())
+        for _ in range(limit):
+            s = socket.create_connection(gw.address, timeout=10.0)
+            s.sendall(frame)
+            socks.append(s)
+        _await(lambda: svc.admission.depth == limit,
+               f"admission never reached {limit} in flight")
+        c = GatewayClient([gw.address], retries=0, seed=0)
+        try:
+            resp = c.request(_compile_payload(), deadline_s=5.0)
+            assert resp["status"] == "shed"
+            assert resp["error"] == "OverloadError"
+            health = c.health(deadline_s=5.0)["health"]
+            assert health["status"] == "overloaded"
+            assert health["queue_depth"] == health["queue_limit"] == limit
+        finally:
+            c.close()
+        gate.set()
+        for s in socks:
+            assert _recv_frame(s)[0]["status"] == "ok"
+        assert svc.stats()["shed"] == 1
+        assert svc.admission.depth == 0  # every slot came back
+    finally:
+        gate.set()
+        for s in socks:
+            s.close()
+        gw.close()
+        svc.close()
+
+
+def test_drain_abandons_requests_past_its_budget():
+    """A drain that outlives its budget closes the service without
+    waiting: the running request is abandoned, the queued one cancelled,
+    and the service's census still accounts for both."""
+    gate = threading.Event()
+    svc, started = _blocking_service(4, gate, workers=1)
+    gw = ThreadedGateway(svc, drain_grace_s=0.0, drain_budget_s=0.2,
+                         close_service=True)
+    socks = [socket.create_connection(gw.address, timeout=10.0)
+             for _ in range(2)]
+    try:
+        for s in socks:
+            s.sendall(encode_frame(_compile_payload()))
+        assert started.acquire(timeout=10.0), "no request ever ran"
+        _await(lambda: svc.admission.depth == 2, "requests never admitted")
+        start = time.perf_counter()
+        gw.drain(timeout=10.0)
+        assert time.perf_counter() - start < 5.0
+        assert gw.state == "closed"
+        gate.set()
+        _await(lambda: svc.admission.depth == 0, "slots never came back")
+        stats = svc.stats()
+        assert (stats["requests"], stats["ok"], stats["rejected"]) == (2, 1, 1)
+    finally:
+        gate.set()
+        for s in socks:
+            s.close()
         gw.close()
         svc.close()
 
@@ -551,8 +673,8 @@ def test_client_prunes_state_for_departed_replicas(tmp_path):
 
     svc = KernelService(cache_dir=str(tmp_path / "cache"), seed=0,
                         workers=2, queue_limit=16)
-    gw_old = ThreadedGateway(svc, max_inflight=8, drain_grace_s=0.0)
-    gw_new = ThreadedGateway(svc, max_inflight=8, drain_grace_s=0.0)
+    gw_old = ThreadedGateway(svc, drain_grace_s=0.0)
+    gw_new = ThreadedGateway(svc, drain_grace_s=0.0)
     dead_addr = _dead_address()
     payload = _compile_payload()
     # Generation 1: the shard owner is dead, the other slot live — one
@@ -625,8 +747,7 @@ def test_client_transparently_resends_on_stale_keepalive(tmp_path):
     NetworkError — even with retries=0."""
     svc = KernelService(cache_dir=str(tmp_path / "cache"), seed=0,
                         workers=2, queue_limit=16)
-    gw = ThreadedGateway(svc, max_inflight=8, idle_timeout_s=0.2,
-                         drain_grace_s=0.0)
+    gw = ThreadedGateway(svc, idle_timeout_s=0.2, drain_grace_s=0.0)
     c = GatewayClient([gw.address], retries=0, seed=0)
     try:
         assert c.compile_run("saxpy_fp", size=SIZE)["status"] == "ok"

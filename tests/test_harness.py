@@ -6,7 +6,6 @@ import threading
 import time
 
 import numpy as np
-import pytest
 
 from repro.harness import FLOWS, FlowRunner
 from repro.harness import flows as flows_mod

@@ -9,13 +9,11 @@ from repro.ir import (
     Argument,
     ArrayRef,
     BinOp,
-    Block,
     Cmp,
     Const,
     ForLoop,
     Function,
     IRBuilder,
-    If,
     Load,
     Return,
     Store,

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from repro.frontend import compile_source
-from repro.jit import MaterializeOptions, MonoJIT, NativeBackend, OptimizingJIT, materialize
+from repro.jit import MaterializeOptions, MonoJIT, OptimizingJIT, materialize
 from repro.ir import F32, clone_function, verify_function, walk
 from repro.machine import VM, ArrayBuffer
-from repro.targets import ALTIVEC, AVX, NEON, SCALAR, SSE
+from repro.targets import ALTIVEC, NEON, SCALAR, SSE
 from repro.vectorizer import split_config, vectorize_function
 
 SFIR = """

@@ -8,7 +8,6 @@ FlowRunner fixture is session-scoped — offline results are shared).
 import pytest
 
 from repro.kernels import all_kernels, get_kernel
-from repro.targets import TARGETS
 
 _KERNELS = all_kernels()
 _IDS = [k.name for k in _KERNELS]

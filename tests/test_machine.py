@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.frontend import compile_source
-from repro.ir import F32, F64, I8, I16, I32
+from repro.ir import F32, I8, I16, I32
 from repro.machine import (
     GUARD_BYTES,
     VM,
@@ -23,7 +23,7 @@ from repro.machine import (
     flatten,
 )
 from repro.machine.mir import GPR, VEC
-from repro.targets import ALTIVEC, AVX, NEON, SCALAR, SSE
+from repro.targets import ALTIVEC, AVX, NEON, SSE
 
 
 class TestArrayBuffer:

@@ -202,6 +202,21 @@ def test_service_request_span_links_response(inst, tmp_path):
     assert warm_jit[0].attrs.get("cached") is True
 
 
+def test_submitted_request_span_nests_under_the_submitters_span():
+    """``submit`` runs the request in a copy of the caller's context, so
+    its span tree hangs off the span open at submission, not off
+    whatever a worker thread last held."""
+    with obs.recording() as ob:
+        with KernelService() as svc:
+            with obs.span("caller", phase="service") as caller:
+                resp = svc.submit(ServiceRequest("saxpy_fp", size=32))
+                resp = resp.result()
+            bare = svc.submit(ServiceRequest("saxpy_fp", size=32)).result()
+    spans = {s.span_id: s for s in ob.spans()}
+    assert spans[resp.span_id].parent_id == caller.span_id
+    assert spans[bare.span_id].parent_id is None
+
+
 def test_service_rejection_span_carries_events():
     with obs.recording() as ob:
         with KernelService() as svc:

@@ -14,7 +14,7 @@ from repro import (
     vectorize_function,
 )
 from repro.bytecode import decode_function, encode_function
-from repro.ir import F32, I32, InitReduc, Reduce, verify_function, walk
+from repro.ir import F32, InitReduc, Reduce, verify_function, walk
 
 FRO = """
 float fro(int n, float w[16][64]) {

@@ -2,13 +2,11 @@
 constant folding matches the VM's wrap-around semantics."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.frontend import compile_source
 from repro.ir import (
-    F32,
     I8,
     I16,
     I32,

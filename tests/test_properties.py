@@ -10,7 +10,6 @@ interpretation exactly (integers) or within float tolerance.
 import zlib
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

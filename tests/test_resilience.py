@@ -15,7 +15,6 @@ The acceptance properties of the resilience work:
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro import faults

@@ -33,7 +33,6 @@ from repro.service import (
     CacheError,
     CacheKey,
     CircuitBreaker,
-    CircuitOpenError,
     Deadline,
     DeadlineError,
     KernelCache,
@@ -685,6 +684,12 @@ def test_service_submit_after_close_is_classified(tmp_path):
     resp = svc.submit(_req()).result()
     assert resp.status == "rejected"
     assert resp.events and resp.events[0].cause == "service-closed"
+    stats = svc.stats()
+    assert stats["requests"] == 1
+    assert stats["requests"] == sum(
+        stats[k] for k in ("ok", "degraded", "stale", "shed", "rejected")
+    )
+    assert stats["admission"]["depth"] == 0
 
 
 def test_service_engine_default_follows_the_registry():

@@ -19,7 +19,6 @@ from repro.ir import (
     RealignLoad,
     Reduce,
     Select,
-    Store,
     VersionGuard,
     VStore,
     WidenMult,
@@ -448,8 +447,6 @@ class TestRecognizerGranularity:
         assert not any(isinstance(i, DotProduct) for i in walk(out.body))
 
     def test_constant_product_reduction_value(self):
-        import numpy as np
-
         from repro.jit import OptimizingJIT
         from repro.machine import VM
         from repro.targets import SSE, SCALAR
