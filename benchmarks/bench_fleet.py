@@ -43,7 +43,14 @@ import tempfile
 import threading
 import time
 
-from bench_gateway import COLD_KERNELS, COLD_TARGETS, FLOW, HOT_FRACTION, HOT_SHAPES
+from bench_gateway import (
+    COLD_KERNELS,
+    COLD_TARGETS,
+    FLOW,
+    HOT_FRACTION,
+    HOT_SHAPES,
+    P99_MIN_REQUESTS,
+)
 
 REPLICAS = 3
 REQUESTS = 240          # per phase
@@ -51,9 +58,6 @@ CLIENTS = 8
 KILLS = 3               # per kill phase: one per third, every index once
 QUICK_REQUESTS = 48
 QUICK_CLIENTS = 4
-#: fewest requests in a phase for its p99 to be recorded: over fewer,
-#: the 99th percentile is (or is next to) the phase's maximum.
-P99_MIN_REQUESTS = 100
 
 
 def _schedule(n_requests: int, seed: int, size_base: int):

@@ -65,6 +65,10 @@ REQUESTS = 400
 CLIENTS = 8
 QUICK_REQUESTS = 60
 QUICK_CLIENTS = 4
+#: fewest latency samples a p99 is recorded from: over fewer, the 99th
+#: percentile is (or is next to) the maximum.  bench_fleet.py applies it
+#: per phase.
+P99_MIN_REQUESTS = 100
 
 
 def _schedule(n_requests: int, seed: int):
@@ -259,8 +263,8 @@ def measure(n_requests=REQUESTS, n_clients=CLIENTS, seed=0,
                 percentile_from_histogram(hist, 0.50) * 1e3, 3),
             "p90_ms": round(
                 percentile_from_histogram(hist, 0.90) * 1e3, 3),
-            "p99_ms": round(
-                percentile_from_histogram(hist, 0.99) * 1e3, 3),
+            "p99_ms": (round(percentile_from_histogram(hist, 0.99) * 1e3, 3)
+                       if hist["count"] >= P99_MIN_REQUESTS else None),
             "mean_ms": round(hist["sum"] / hist["count"] * 1e3, 3),
             "max_ms": round(hist["max"] * 1e3, 3),
         },
@@ -287,9 +291,10 @@ def _print(payload) -> None:
           f"{payload['clients']} clients -> "
           f"{payload['throughput_rps']:.1f} req/s")
     print(f"  hot warm hits: {hot['warm_hits']}/{hot['served']}")
+    p99 = "n/a" if lat["p99_ms"] is None else f"{lat['p99_ms']:.2f}ms"
     print(f"  latency (from gateway.request_seconds): "
           f"p50={lat['p50_ms']:.2f}ms p90={lat['p90_ms']:.2f}ms "
-          f"p99={lat['p99_ms']:.2f}ms max={lat['max_ms']:.2f}ms")
+          f"p99={p99} max={lat['max_ms']:.2f}ms")
     adm = payload["admission"]
     print(f"  admission: peak_depth={adm['peak_depth']}/{adm['limit']}, "
           f"sheds={adm['shed']}, "
@@ -308,9 +313,12 @@ def test_gateway_latency(benchmark):
     _print(payload)
     benchmark.extra_info["p99_ms"] = payload["latency"]["p99_ms"]
     # Every hot request after pre-warm must actually be warm, the tail
-    # must be ordered (p50 <= p99), and the wire must stay clean.
+    # must be ordered (p50 <= p99, or p50 <= max where the quick run is
+    # too short for a p99), and the wire must stay clean.
+    lat = payload["latency"]
     assert payload["hot"]["warm_hits"] == payload["hot"]["served"]
-    assert payload["latency"]["p50_ms"] <= payload["latency"]["p99_ms"]
+    assert lat["p50_ms"] <= (lat["max_ms"] if lat["p99_ms"] is None
+                             else lat["p99_ms"])
     assert payload["gateway"]["frame_errors"] == 0
 
 
@@ -325,7 +333,9 @@ def main(argv=None) -> int:
     parser.add_argument("--clients", type=int, default=None)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--max-p99-ms", type=float, default=None,
-                        help="exit non-zero if p99 exceeds this")
+                        help="exit non-zero if p99 exceeds this or the "
+                             f"run has too few requests (< "
+                             f"{P99_MIN_REQUESTS}) to record one")
     args = parser.parse_args(argv)
 
     n_requests = args.requests or (QUICK_REQUESTS if args.quick else REQUESTS)
@@ -342,7 +352,13 @@ def main(argv=None) -> int:
         print(f"wrote {args.trace_out}")
 
     p99 = payload["latency"]["p99_ms"]
-    if args.max_p99_ms is not None and p99 > args.max_p99_ms:
+    if args.max_p99_ms is None:
+        return 0
+    if p99 is None:
+        print(f"FAIL: no p99 to gate: a run needs at least "
+              f"{P99_MIN_REQUESTS} requests", file=sys.stderr)
+        return 1
+    if p99 > args.max_p99_ms:
         print(f"FAIL: p99 {p99:.2f}ms > {args.max_p99_ms:.2f}ms",
               file=sys.stderr)
         return 1

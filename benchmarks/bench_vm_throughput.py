@@ -18,6 +18,14 @@ speedups, over all rows and per target.  Every kernel runs on SSE, which
 has scaled addressing, and on NEON, which computes addresses with shifts:
 codegen batches a loop only when it can follow its addresses, so an
 SSE-only table would hide a target where it cannot.
+
+Those rows run long trips.  A ``short_trips`` block times the five
+shapes of e2ebench's warm_hot workload at n=64, whose vector loops run
+16 (SSE) to 64 (NEON) iterations, near codegen's batch gate
+(``_MIN_BATCH``): each row gives codegen against the reference and the
+plan batches of one run.
+The block stays out of the per-target geomeans that ``--min-speedup``
+gates.
 """
 
 from __future__ import annotations
@@ -35,12 +43,24 @@ BENCH_KERNELS = (
     "saxpy_fp", "dscal_fp", "saxpy_dp", "dscal_dp",
 )
 #: the quick set (CI's smoke run and its per-target speedup gate): a
-#: streaming loop, a reduction and the blocked MMM, whose inner loops are
-#: too short to batch.
+#: streaming loop, a reduction and the blocked MMM, whose short inner
+#: loops batch on NEON but leave too few iterations to batch on SSE.
 QUICK_KERNELS = ("saxpy_fp", "sfir_fp", "MMM_fp")
 
 FLOW = "split_vec_gcc4cli"
 TARGETS = ("sse", "neon")
+
+#: e2ebench warm_hot's shapes (``e2ebench/workloads.py``): short trips.
+SHORT_TRIP_SHAPES = (
+    ("saxpy_fp", "sse", 64),
+    ("dscal_fp", "sse", 64),
+    ("dissolve_fp", "neon", 64),
+    ("mix_streams_s16", "neon", 64),
+    ("sfir_fp", "neon", 64),
+)
+#: a short-trip run takes tens of microseconds, so its best-of needs more
+#: samples than a long trip's.
+SHORT_TRIP_REPEATS = 25
 
 #: engine throughput needs steady-state dispatch to dominate per-run setup,
 #: so the O(n) kernels run at 16x their default problem size (a few
@@ -56,15 +76,17 @@ def _bench_size(kernel, size):
     return kernel.default_size * BENCH_SIZE_SCALE
 
 
-def _best_of_interleaved(repeats, *fns):
+def _best_of_interleaved(repeats, *fns, setup=None):
     """Best-of-``repeats`` for competing functions, sampled in alternation
     so host contention (this is often a noisy shared box) hits every
-    engine alike rather than whichever ran last."""
+    engine alike rather than whichever ran last.  With ``setup``, each
+    sample calls ``fn(setup())`` and times only ``fn``."""
     best = [math.inf] * len(fns)
     for _ in range(repeats):
         for i, fn in enumerate(fns):
+            args = () if setup is None else (setup(),)
             start = time.perf_counter()
-            fn()
+            fn(*args)
             best[i] = min(best[i], time.perf_counter() - start)
     return best
 
@@ -120,6 +142,7 @@ def measure(kernel_names=BENCH_KERNELS, size=None, repeats=3):
                 "codegen_speedup": round(t_ref / t_cg, 2),
             })
 
+    short_rows = _short_trips(runner)
     total_instr = sum(r["instructions"] for r in rows)
     total_ref = sum(r["reference_seconds"] for r in rows)
     total_cg = sum(r["codegen_seconds"] for r in rows)
@@ -142,7 +165,50 @@ def measure(kernel_names=BENCH_KERNELS, size=None, repeats=3):
             }
             for t in TARGETS
         },
+        "short_trips": {
+            "shapes": "e2ebench warm_hot (n=64); outside the per-target "
+                      "geomeans",
+            "rows": short_rows,
+            "geomean_codegen_speedup": _geomean(short_rows,
+                                                "codegen_speedup"),
+        },
     }
+
+
+def _short_trips(runner):
+    """One row per :data:`SHORT_TRIP_SHAPES` shape: both engines' best
+    run (buffers made outside the timer) and codegen's plan batches in
+    one run."""
+    from repro.kernels import get_kernel
+    from repro.machine import VM
+    from repro.targets import get_target
+
+    rows = []
+    for name, target_name, size in SHORT_TRIP_SHAPES:
+        target = get_target(target_name)
+        inst = get_kernel(name).instantiate(size)
+        ck = runner.compiled(inst, FLOW, target)
+        cg = ck.translated("codegen")
+        before = sum(p.batches for p in cg.plans)
+        probe = cg.run(inst.scalar_args, runner.make_buffers(inst))
+        batches = sum(p.batches for p in cg.plans) - before
+        t_ref, t_cg = _best_of_interleaved(
+            SHORT_TRIP_REPEATS,
+            lambda bufs: VM(target).run(ck.mfunc, inst.scalar_args, bufs),
+            lambda bufs: cg.run(inst.scalar_args, bufs),
+            setup=lambda: runner.make_buffers(inst),
+        )
+        rows.append({
+            "kernel": name,
+            "target": target_name,
+            "size": size,
+            "instructions": probe.instructions,
+            "reference_seconds": round(t_ref, 6),
+            "codegen_seconds": round(t_cg, 6),
+            "codegen_speedup": round(t_ref / t_cg, 2),
+            "plan_batches_per_run": batches,
+        })
+    return rows
 
 
 def _geomean(rows, key):
@@ -180,6 +246,15 @@ def main(argv=None) -> int:
           f"(geomean {payload['geomean_codegen_speedup']:.2f}x ref)")
     for t, g in payload["per_target"].items():
         print(f"{t}: geomean codegen {g['codegen_speedup']:.2f}x ref")
+    short = payload["short_trips"]
+    for r in short["rows"]:
+        print(f"short   {r['kernel']:15s} {r['target']:5s} n={r['size']}  "
+              f"ref {r['reference_seconds'] * 1e3:7.3f} ms  "
+              f"codegen {r['codegen_seconds'] * 1e3:7.3f} ms "
+              f"({r['codegen_speedup']:.2f}x ref, "
+              f"{r['plan_batches_per_run']} batch(es)/run)")
+    print(f"short trips: geomean codegen "
+          f"{short['geomean_codegen_speedup']:.2f}x ref (not gated)")
 
     with open(args.out, "w") as f:
         json.dump(payload, f, indent=2)

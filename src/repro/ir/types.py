@@ -39,6 +39,20 @@ __all__ = [
 ]
 
 
+#: numpy dtype per ``(size, is_float)``: ``numpy_dtype`` is read on every
+#: scalar op of a VM run and every step of a batch walk, and building a
+#: dtype from its name costs more than the op it types.  A module table,
+#: not a cache on the instance, so pickled types keep their bytes.
+_NUMPY_DTYPES = {
+    (1, False): np.dtype(np.int8),
+    (2, False): np.dtype(np.int16),
+    (4, False): np.dtype(np.int32),
+    (8, False): np.dtype(np.int64),
+    (4, True): np.dtype(np.float32),
+    (8, True): np.dtype(np.float64),
+}
+
+
 @dataclass(frozen=True)
 class ScalarType:
     """A fixed-width scalar type.
@@ -64,9 +78,7 @@ class ScalarType:
     @property
     def numpy_dtype(self) -> np.dtype:
         """The numpy dtype used by the memory model and the VM."""
-        if self.is_float:
-            return np.dtype(f"float{self.bits}")
-        return np.dtype(f"int{self.bits}")
+        return _NUMPY_DTYPES[self.size, self.is_float]
 
     @property
     def min_value(self) -> float:

@@ -93,11 +93,14 @@ _I8_ZERO = np.int8(0)
 _I8_ONE = np.int8(1)
 
 #: a batch must cover at least this many iterations to be worth taking:
-#: the abstract walk costs one numpy call per body instruction, which only
-#: amortizes over a few dozen skipped iterations (shorter trips — e.g. the
-#: inner loops of the blocked MMM kernels — run faster as plain
-#: superinstructions).
-_MIN_BATCH = 32
+#: the walk costs about one numpy call per body instruction, which a
+#: trip must repay in iterations it skips.  Measured in one process, a
+#: batch against the same trip run per iteration: the loops whose
+#: iterations are cheapest to run one by one, sfir_fp's and dscal_fp's
+#: on SSE (scaled addressing, no shl), break even at 8 (0.97-0.98x; 1.08
+#: and 1.16x at 7), NEON's vector loops at 2; at 4, MMM_fp, atax, bicg
+#: and gesummv on SSE ran 1.23-1.28x slower than at 32.
+_MIN_BATCH = 8
 
 #: upper bound on iterations per batch (bounds slice working-set size; a
 #: longer trip runs as consecutive batches within one attempt).
@@ -689,6 +692,8 @@ class _Emitter:
             self.block_op_counts.append(oc)
 
         sites = self._find_plans(bodies, labels, block_at, accounting)
+        for bi in sites:
+            w.w(f"_a{bi} = _mh is None")
         self.names.bind_named("_over", _Overrun(self, bodies, accounting))
 
         depths = loop_depths(starts, instrs, labels, block_at)
@@ -724,14 +729,17 @@ class _Emitter:
 
     def _emit_attempt(self, w, bi, site):
         """Call the plan on entry into loop ``bi``, unless the trip left
-        is too short for any batch.  The inline test sees the same IV,
-        bound and step as the plan, so it skips only calls that would
-        bail on ``_MIN_BATCH``; a value it cannot read (an unbound
-        register, a missing spill slot, a value ``int()`` rejects) skips
-        the call and leaves the loop to run normally."""
+        is too short for any batch or an earlier entry of this run
+        found the loop's strides unbatchable.  ``_a<bi>`` holds that
+        run's verdict: false under a fault hook, and once the plan
+        answers False.  The inline test sees the same IV, bound and
+        step as the plan, so it skips only calls that would bail on
+        ``_MIN_BATCH``; a value it cannot read (an unbound register, a
+        missing spill slot, a value ``int()`` rejects) skips the call
+        and leaves the loop to run normally."""
         pname, plan = site
         in_regs = "".join(f"r{s}, " for s in plan.in_slots)
-        w.w("if _mh is None:")
+        w.w(f"if _a{bi}:")
         w.depth += 1
         w.w("try:")
         w.w(_INDENT + f"_t = ({pname}.attempt(({in_regs}), _sp, _n, "
@@ -739,7 +747,9 @@ class _Emitter:
         w.w("except (NameError, KeyError, TypeError, ValueError, "
             "OverflowError):")
         w.w(_INDENT + "_t = None")
-        w.w("if _t is not None:")
+        w.w("if _t is False:")
+        w.w(_INDENT + f"_a{bi} = False")
+        w.w("elif _t is not None:")
         w.depth += 1
         w.w(f"r{plan.iv_slot} = _t[0]")
         for i, (rid, _pos, _j) in enumerate(plan.accs):
@@ -760,12 +770,13 @@ class _Emitter:
         else:
             bound = f"_sp[{plan.bound_slot!r}]"
         skind, sval = plan.step_src
+        m = plan.min_batch
         if skind == "const":
-            far = f"int(r{plan.iv_slot}) + {_MIN_BATCH * sval}"
+            far = f"int(r{plan.iv_slot}) + {m * sval}"
         else:
             step = (f"r{self._slot_of[sval]}" if skind == "reg"
                     else f"_sp[{sval!r}]")
-            far = f"int(r{plan.iv_slot}) + {_MIN_BATCH} * int({step})"
+            far = f"int(r{plan.iv_slot}) + {m} * int({step})"
         return f"{far} {_PYCMP[plan.cmp_kind]} int({bound})"
 
     def _emit_block(self, w, bi, body, acct):
@@ -1125,26 +1136,40 @@ class _Bail(Exception):
     """Abandon the current batch attempt (before any memory write).
 
     ``dead=True`` marks conditions that are structural (unsupported node
-    kinds or dtype shapes) so the plan stops attempting; transient
-    conditions (trip too short, misalignment, overlap, out-of-bounds)
-    retry on the next header entry — or simply let normal per-block
-    execution reproduce the reference behaviour, traps included.
+    kinds or dtype shapes), so the plan stops attempting in every later
+    run.  ``fixed=True`` marks a strided access or an overlap between
+    two accesses: what decides them is the distance between addresses,
+    which comes from the step and the values a run sets before the loop
+    (a row length, a stencil's offset), so the generated code stops
+    trying the loop for the rest of that run, never for another.  Other
+    conditions (trip too short, misalignment, out-of-bounds, a NaN
+    addend) retry on the next entry into the loop; either way normal
+    per-block execution reproduces the reference behaviour, traps
+    included.
     """
 
-    def __init__(self, dead: bool = False):
+    def __init__(self, dead: bool = False, fixed: bool = False):
         super().__init__()
         self.dead = dead
+        self.fixed = fixed
 
 
 class _WalkState:
     """Per-walk scratch: the batch width ``k``, the run's array buffers
-    (in declaration order), the accumulators' running values and a lazy
-    iota."""
+    (in declaration order) and spill dict, the accumulators' running
+    values, the walk's own spill slots, the loads and deferred stores it
+    saw, and a lazy iota."""
 
-    def __init__(self, k: int, bufs: tuple, accs: list):
+    __slots__ = ("k", "bufs", "sp", "accs", "wsp", "loads", "stores", "_idx")
+
+    def __init__(self, k: int, bufs: tuple, sp: dict, accs: list):
         self.k = k
         self.bufs = bufs
+        self.sp = sp
         self.accs = accs
+        self.wsp: dict = {}
+        self.loads: list = []
+        self.stores: list = []
         self._idx = None
 
     def idx(self):
@@ -1153,11 +1178,33 @@ class _WalkState:
         return self._idx
 
 
-_I64 = np.iinfo(np.int64)
+_I64_MIN = int(np.iinfo(np.int64).min)
+_I64_MAX = int(np.iinfo(np.int64).max)
 
 #: node of an accumulating op's result: only its ``mov`` chain back to
 #: the accumulator reads it, and a ``mov`` just copies the node.
 _SUM = ("s",)
+
+#: the walk's arithmetic for the ops Python spells as operators.
+_ARITH = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
+
+
+def _bounds(dt):
+    """``(min, max)`` of an integer dtype as Python ints; None for a
+    float."""
+    if dt.kind in "iu":
+        info = np.iinfo(dt)
+        return int(info.min), int(info.max)
+    return None
+
+
+def _binary(op, dt):
+    """``fn(a, b)`` computing canonical binary op ``op`` in ``dt``."""
+    arith = _ARITH.get(op)
+    if arith is not None:
+        return arith
+    fn = _BIN_FUNCS[op]
+    return lambda a, b: fn(a, b, dt)
 
 
 def _cast_inv(v, T):
@@ -1174,7 +1221,7 @@ def _mat(node, st):
         return node[1]
     _, base, coef, ndt = node
     hi = base + (st.k - 1) * coef
-    if not (_I64.min <= base <= _I64.max and _I64.min <= hi <= _I64.max):
+    if not (_I64_MIN <= base <= _I64_MAX and _I64_MIN <= hi <= _I64_MAX):
         raise _Bail()
     arr = st.idx() * coef + base
     if ndt is not None and ndt != arr.dtype:
@@ -1182,38 +1229,150 @@ def _mat(node, st):
     return arr
 
 
-def _aff_or_none(base, coef, dt, k):
-    """Affine node if every value fits ``dt`` exactly, else None (the
-    caller falls back to materialized batch arithmetic, which wraps
-    elementwise exactly like the sequential engines)."""
-    info = np.iinfo(dt)
-    hi = base + (k - 1) * coef
-    if info.min <= base <= info.max and info.min <= hi <= info.max:
+def _aff_or_none(base, coef, dt, lo, hi, k):
+    """Affine node if every value fits ``dt`` (bounds ``lo``..``hi``)
+    exactly, else None (the caller falls back to materialized batch
+    arithmetic, which wraps elementwise exactly like the sequential
+    engines)."""
+    last = base + (k - 1) * coef
+    if lo <= base <= hi and lo <= last <= hi:
         return ("a", base, coef, dt)
     return None
 
 
-def _int_operand(node, dt, k):
+def _int_operand(node, T, lo, hi, k):
     """Node as exact ``(base, coef)`` Python ints whose values survive a
-    cast to ``dt`` unchanged; None if not integer-affine under ``dt``."""
+    cast to ``T`` (bounds ``lo``..``hi``) unchanged; None if not
+    integer-affine under it."""
     if node[0] == "i":
         v = node[1]
         if not isinstance(v, (int, np.integer)):
             return None
         iv = int(v)
-        if type(v) is not dt.type:
-            info = np.iinfo(dt)
-            if not (info.min <= iv <= info.max):
-                return None
+        if type(v) is not T and not (lo <= iv <= hi):
+            return None
         return (iv, 0)
     if node[0] == "a":
         _, b, c, _ndt = node
-        info = np.iinfo(dt)
-        hi = b + (k - 1) * c
-        if info.min <= b <= info.max and info.min <= hi <= info.max:
+        last = b + (k - 1) * c
+        if lo <= b <= hi and lo <= last <= hi:
             return (b, c)
         return None
     return None
+
+
+def _affine_fold(op, dt):
+    """``fn(a, b)`` giving the exact ``(base, coef)`` of integer op
+    ``op`` on two ``(base, coef)`` operands, or None when the result is
+    not affine in the iteration index."""
+    if op == "add":
+        return lambda a, b: (a[0] + b[0], a[1] + b[1])
+    if op == "sub":
+        return lambda a, b: (a[0] - b[0], a[1] - b[1])
+    if op == "shl":
+        # Targets without scaled addressing (NEON, AltiVec, the Mono
+        # JIT) scale indices by shl: an invariant count c is a multiply
+        # by 2^c, masked like _shl; one that would wrap stays None.
+        mask = dt.itemsize * 8 - 1
+
+        def shl(a, b):
+            if b[1]:
+                return None
+            c = b[0] & mask
+            return (a[0] << c, a[1] << c)
+        return shl
+
+    def mul(a, b):
+        if a[1] == 0:
+            return (a[0] * b[0], a[0] * b[1])
+        if b[1] == 0:
+            return (a[0] * b[0], a[1] * b[0])
+        return None
+    return mul
+
+
+def _addr(node):
+    """Address operand as exact ``(base, coef)`` Python ints."""
+    if node[0] == "i":
+        v = node[1]
+        if not isinstance(v, (int, np.integer)):
+            raise _Bail(dead=True)
+        return (int(v), 0)
+    if node[0] == "a":
+        return (int(node[1]), int(node[2]))
+    raise _Bail(dead=True)
+
+
+def _vec_operand(node):
+    """Vector operand: invariant or batch value; affine makes no sense
+    lane-wise."""
+    if node[0] == "i" or node[0] == "b":
+        return node[1]
+    raise _Bail(dead=True)
+
+
+def _batch_scalar(node, dt, bounds, st):
+    """Emulate the reference interpreter's per-element ``T(a)``
+    normalization for a whole batch (``bounds``: ``dt``'s, as
+    :func:`_bounds` gives them)."""
+    kind = node[0]
+    if kind == "i":
+        return _cast_inv(node[1], dt.type)
+    if kind == "b":
+        arr = node[1]
+        if arr.dtype != dt:
+            arr = arr.astype(dt)
+        return arr
+    _, base, coef, ndt = node
+    hi = base + (st.k - 1) * coef
+    if not (_I64_MIN <= base <= _I64_MAX and _I64_MIN <= hi <= _I64_MAX):
+        raise _Bail()
+    if ndt is None:
+        # Python-int space: the sequential engines cast each value
+        # through T(), which *raises* out of range instead of wrapping —
+        # bail and let them.
+        if bounds is not None:
+            if not (bounds[0] <= base <= bounds[1]
+                    and bounds[0] <= hi <= bounds[1]):
+                raise _Bail()
+        elif max(abs(base), abs(hi)) >= 2 ** 53:
+            raise _Bail()  # int->float double-rounding differences
+    arr = st.idx() * coef + base
+    if ndt is not None and ndt != arr.dtype:
+        arr = arr.astype(ndt)
+    if arr.dtype != dt:
+        arr = arr.astype(dt)
+    return arr
+
+
+def _store_payload(node, bounds, st):
+    """Payload for a batched scalar store; must commit without any
+    possibility of raising mid-commit."""
+    p = _mat(node, st)
+    if isinstance(p, (np.ndarray, np.generic)):
+        return p
+    if isinstance(p, int):
+        if bounds is not None:
+            if bounds[0] <= p <= bounds[1]:
+                return p
+            raise _Bail()  # sequential store raises OverflowError
+        if abs(p) >= 2 ** 53:
+            raise _Bail()
+        return p
+    raise _Bail(dead=True)
+
+
+def _frozen(arr):
+    """``arr``, read-only: one array a plan hands to every walk."""
+    arr.flags.writeable = False
+    return arr
+
+
+def _constant(dst, node):
+    """Walk step binding register ``dst`` to the invariant ``node``."""
+    def constant(env, st):
+        env[dst] = node
+    return constant
 
 
 class _BatchPlan:
@@ -1233,18 +1392,22 @@ class _BatchPlan:
     * ``("b", array)`` — batch array with leading axis ``k``
 
     — turning each supported MIR instruction into at most one whole-batch
-    numpy operation.  Loads slice ``k`` strided elements at once; stores
-    are deferred, cross-checked against every load/store for unsafe
-    overlap, and committed in program order only after the whole walk
-    succeeded, so a bail can never leave memory half-written.  An
-    accumulator (``accs``: ``(register, op position, operand)``) is the
-    one loop-carried value allowed: its op's ``k`` addends are computed
-    as one batch and folded into the live sum with ``np.add.accumulate``
-    in iteration order, so a float sum rounds exactly as the sequential
-    loop's.  The walk covers ``trip - 1`` iterations (clipped to the
-    remaining instruction budget); the final iteration and the loop exit
-    run through the normal generated blocks, which rematerializes every
-    live register and spill slot bit-identically.
+    numpy operation.  Each instruction is compiled once, when the plan is
+    built, into a step closure that holds its static operands (registers,
+    dtype, integer bounds, widths, buffer index, the op's function), so a
+    walk is one call per instruction.  Loads slice ``k`` strided elements
+    at once; stores are deferred, cross-checked against every load/store
+    for unsafe overlap, and committed in program order only after the
+    whole walk succeeded, so a bail can never leave memory half-written.
+    An accumulator (``accs``: ``(register, op position, operand)``) is
+    the one loop-carried value allowed: its op's ``k`` addends are
+    computed as one batch and folded into the live sum with
+    ``np.add.accumulate`` in iteration order, so a float sum rounds
+    exactly as the sequential loop's.  The walk covers ``trip - 1``
+    iterations (clipped to the remaining instruction budget); the final
+    iteration and the loop exit run through the normal generated blocks,
+    which rematerializes every live register and spill slot
+    bit-identically.
 
     A plan holds no run state: live values, the spill dict and the array
     buffers arrive with each :meth:`attempt`, so runs on several threads
@@ -1279,8 +1442,11 @@ class _BatchPlan:
         self.vs = vs
         self.per_iter_count = per_iter_count
         self.per_iter_cycles = per_iter_cycles
-        info = np.iinfo(ivdt)
-        self._iv_lo, self._iv_hi = int(info.min), int(info.max)
+        #: read once, so the trip test baked into the generated source
+        #: and :meth:`_attempt` gate on the same value.
+        self.min_batch = _MIN_BATCH
+        self._iv_lo, self._iv_hi = _bounds(ivdt)
+        self._steps = [self._compile(pos, ins) for pos, ins in enumerate(body)]
         #: successful batches (observability + effectiveness tests).
         self.batches = 0
         self.dead = False
@@ -1290,22 +1456,24 @@ class _BatchPlan:
     def attempt(self, vals, sp, executed, maxi, bufs):
         """Batch the loop's remaining trip; ``(new_iv, d_count,
         d_cycles, k, *sums)`` for the ``k`` iterations done, with each
-        accumulator's value after them, or None.
+        accumulator's value after them; None when this entry cannot
+        batch; False when no later entry of this run can either (a
+        ``fixed`` bail, or a dead plan).
 
         ``vals`` holds the live values of ``in_slots`` in order; ``sp``
         is the spill dict; ``bufs`` the run's array buffers.  Never
         raises: any bail (or unexpected walk error) before the first
-        chunk commits returns None with memory untouched, and the caller
-        falls through to normal execution.
+        chunk commits returns None or False with memory untouched, and
+        the caller falls through to normal execution.
         """
         if self.dead:
-            return None
+            return False
         try:
             return self._attempt(vals, sp, executed, maxi, bufs)
         except _Bail as bail:
             if bail.dead:
                 self.dead = True
-            return None
+            return False if bail.fixed else None
         except Exception:
             self.dead = True
             return None
@@ -1331,7 +1499,7 @@ class _BatchPlan:
             room = (maxi - executed) // self.per_iter_count
             if room < k:
                 k = room
-        if k < _MIN_BATCH:
+        if k < self.min_batch:
             raise _Bail()
         hi = iv0 + k * step
         if not (self._iv_lo <= iv0 <= self._iv_hi
@@ -1348,16 +1516,15 @@ class _BatchPlan:
         while done < k:
             c = min(k - done, _MAX_BATCH)
             try:
-                loads, stores, nxt = self._walk(
-                    vals, sp, iv0 + done * step, step, c, bufs, sums
-                )
-                self._check_mem(loads, stores, c)
+                st = self._walk(vals, sp, iv0 + done * step, step, c, bufs,
+                                sums)
+                self._check_mem(st.loads, st.stores, c)
             except Exception:
                 if not done:
                     raise
                 break
-            self._commit(stores, c)
-            sums = nxt
+            self._commit(st.stores, c)
+            sums = st.accs
             self.batches += 1
             done += c
         return (
@@ -1408,332 +1575,309 @@ class _BatchPlan:
     # -- abstract interpretation over the body --------------------------
 
     def _walk(self, vals, sp, iv0, step, k, bufs, sums):
-        env = {}
-        for rid, pos in self._pos.items():
-            env[rid] = ("i", vals[pos])
+        env = {rid: ("i", vals[pos]) for rid, pos in self._pos.items()}
         env[self.iv_id] = ("a", iv0, step, self.ivdt)
         if self.bound_slot is not None:
             env[self.bound_id] = ("i", sp[self.bound_slot])
-        wsp: dict = {}
-        loads: list = []
-        stores: list = []
-        st = _WalkState(k, bufs, list(sums))
-        for pos, ins in enumerate(self.body):
-            self._walk_ins(ins, pos, env, wsp, sp, loads, stores, st)
-        return loads, stores, st.accs
+        st = _WalkState(k, bufs, sp, list(sums))
+        for fn in self._steps:
+            fn(env, st)
+        return st
 
-    def _buf(self, name, st):
-        return st.bufs[self.arr_index[name]]
-
-    @staticmethod
-    def _addr(node):
-        """Address operand as exact ``(base, coef)`` Python ints."""
-        if node[0] == "i":
-            v = node[1]
-            if not isinstance(v, (int, np.integer)):
-                raise _Bail(dead=True)
-            return (int(v), 0)
-        if node[0] == "a":
-            return (int(node[1]), int(node[2]))
-        raise _Bail(dead=True)
-
-    @staticmethod
-    def _vec_operand(node):
-        """Vector operand: invariant or batch value; affine makes no
-        sense lane-wise."""
-        if node[0] == "i" or node[0] == "b":
-            return node[1]
-        raise _Bail(dead=True)
-
-    def _batch_scalar(self, node, dt, st):
-        """Emulate the reference interpreter's per-element ``T(a)``
-        normalization for a whole batch."""
-        T = dt.type
-        if node[0] == "i":
-            return _cast_inv(node[1], T)
-        if node[0] == "b":
-            arr = node[1]
-            if arr.dtype != dt:
-                arr = arr.astype(dt)
-            return arr
-        _, base, coef, ndt = node
-        hi = base + (st.k - 1) * coef
-        if not (_I64.min <= base <= _I64.max and _I64.min <= hi <= _I64.max):
-            raise _Bail()
-        if ndt is None:
-            # Python-int space: the sequential engines cast each value
-            # through T(), which *raises* out of range instead of
-            # wrapping — bail and let them.
-            if dt.kind in "iu":
-                info = np.iinfo(dt)
-                if not (info.min <= base <= info.max
-                        and info.min <= hi <= info.max):
-                    raise _Bail()
-            elif max(abs(base), abs(hi)) >= 2 ** 53:
-                raise _Bail()  # int->float double-rounding differences
-        arr = st.idx() * coef + base
-        if ndt is not None and ndt != arr.dtype:
-            arr = arr.astype(ndt)
-        if arr.dtype != dt:
-            arr = arr.astype(dt)
-        return arr
-
-    def _store_payload(self, node, dt, st):
-        """Payload for a batched scalar store; must commit without any
-        possibility of raising mid-commit."""
-        p = _mat(node, st)
-        if isinstance(p, (np.ndarray, np.generic)):
-            return p
-        if isinstance(p, int):
-            if dt.kind in "iu":
-                info = np.iinfo(dt)
-                if info.min <= p <= info.max:
-                    return p
-                raise _Bail()  # sequential store raises OverflowError
-            if abs(p) >= 2 ** 53:
-                raise _Bail()
-            return p
-        raise _Bail(dead=True)
-
-    def _walk_ins(self, ins, pos, env, wsp, sp, loads, stores,
-                  st):  # noqa: C901
+    def _compile(self, pos, ins):  # noqa: C901
+        """Body instruction ``ins`` (at ``pos``) as a step ``fn(env,
+        st)`` that walks it over the batch: ``env`` maps register ids to
+        nodes, ``st`` is the walk's :class:`_WalkState`."""
         op = ins.op
         imm = ins.imm
-        k = st.k
+        dst = ins.dst.id if ins.dst is not None else None
+        src = [r.id for r in ins.srcs]
 
         acc = self._acc_at.get(pos)
         if acc is not None:
-            i, j = acc
-            st.accs[i] = self._fold(ins, j, env, st.accs[i], st)
-            env[ins.dst.id] = _SUM
-            return
+            return self._compile_fold(ins, dst, src, *acc)
+
         if op == "const":
-            env[ins.dst.id] = (
-                "i", imm["type"].numpy_dtype.type(imm["value"])
+            return _constant(
+                dst, ("i", imm["type"].numpy_dtype.type(imm["value"]))
             )
-            return
+
         if op == "mov":
-            env[ins.dst.id] = env[ins.srcs[0].id]
-            return
+            (a,) = src
+
+            def mov(env, st):
+                env[dst] = env[a]
+            return mov
+
         if op == "lea":
-            node = env[ins.srcs[0].id]
+            (a,) = src
             scale = imm.get("scale", 1)
             offset = imm.get("offset", 0)
-            if node[0] == "i":
-                v = node[1]
-                if not isinstance(v, (int, np.integer)):
+
+            def lea(env, st):
+                node = env[a]
+                if node[0] == "i":
+                    v = node[1]
+                    if not isinstance(v, (int, np.integer)):
+                        raise _Bail(dead=True)
+                    env[dst] = ("i", int(v) * scale + offset)
+                elif node[0] == "a":
+                    # int(...) is exact on in-range typed values; the
+                    # result lives in Python-int address space (dtype
+                    # None), exactly like the sequential engines' lea.
+                    env[dst] = ("a", node[1] * scale + offset,
+                                node[2] * scale, None)
+                else:
                     raise _Bail(dead=True)
-                env[ins.dst.id] = ("i", int(v) * scale + offset)
-            elif node[0] == "a":
-                _, base, coef, _ndt = node
-                # int(...) is exact on in-range typed values; the result
-                # lives in Python-int address space (dtype None), exactly
-                # like the sequential engines' lea.
-                env[ins.dst.id] = (
-                    "a", base * scale + offset, coef * scale, None
-                )
-            else:
-                raise _Bail(dead=True)
-            return
+            return lea
 
         if op in _SCALAR_BIN:
-            dt = imm["type"].numpy_dtype
-            T = dt.type
-            na = env[ins.srcs[0].id]
-            nb = env[ins.srcs[1].id]
-            if na[0] == "i" and nb[0] == "i":
-                a = _cast_inv(na[1], T)
-                b = _cast_inv(nb[1], T)
-                if op == "add":
-                    r = a + b
-                elif op == "sub":
-                    r = a - b
-                elif op == "mul":
-                    r = a * b
-                else:
-                    r = _BIN_FUNCS[op](a, b, dt)
-                env[ins.dst.id] = ("i", r)
-                return
-            if (dt.kind in "iu" and op in ("add", "sub", "mul", "shl")
-                    and na[0] != "b" and nb[0] != "b"):
-                ai = _int_operand(na, dt, k)
-                bi = _int_operand(nb, dt, k)
-                if ai is not None and bi is not None:
-                    node = None
-                    if op == "add":
-                        node = _aff_or_none(
-                            ai[0] + bi[0], ai[1] + bi[1], dt, k
-                        )
-                    elif op == "sub":
-                        node = _aff_or_none(
-                            ai[0] - bi[0], ai[1] - bi[1], dt, k
-                        )
-                    elif op == "shl":
-                        # Targets without scaled addressing (NEON,
-                        # AltiVec, the Mono JIT) scale indices by shl: an
-                        # invariant count c is a multiply by 2^c, masked
-                        # like _shl; one that would wrap stays None.
-                        if bi[1] == 0:
-                            c = bi[0] & (dt.itemsize * 8 - 1)
-                            node = _aff_or_none(
-                                ai[0] << c, ai[1] << c, dt, k
-                            )
-                    elif ai[1] == 0:
-                        node = _aff_or_none(
-                            ai[0] * bi[0], ai[0] * bi[1], dt, k
-                        )
-                    elif bi[1] == 0:
-                        node = _aff_or_none(
-                            ai[0] * bi[0], ai[1] * bi[0], dt, k
-                        )
-                    if node is not None:
-                        env[ins.dst.id] = node
-                        return
-            a = self._batch_scalar(na, dt, st)
-            b = self._batch_scalar(nb, dt, st)
-            if op == "add":
-                r = a + b
-            elif op == "sub":
-                r = a - b
-            elif op == "mul":
-                r = a * b
-            else:
-                r = _BIN_FUNCS[op](a, b, dt)
-            env[ins.dst.id] = ("b", np.asarray(r, dtype=dt))
-            return
+            return self._compile_scalar_bin(op, imm, dst, src)
 
         if op in _SCALAR_UN:
             dt = imm["type"].numpy_dtype
-            node = env[ins.srcs[0].id]
+            T = dt.type
+            bounds = _bounds(dt)
             fn = _UN_FUNCS[op]
-            if node[0] == "i":
-                env[ins.dst.id] = (
-                    "i", fn(_cast_inv(node[1], dt.type), dt)
-                )
-                return
-            r = fn(self._batch_scalar(node, dt, st), dt)
-            env[ins.dst.id] = ("b", np.asarray(r, dtype=dt))
-            return
+            (a,) = src
+
+            def scalar_un(env, st):
+                node = env[a]
+                if node[0] == "i":
+                    env[dst] = ("i", fn(_cast_inv(node[1], T), dt))
+                    return
+                r = fn(_batch_scalar(node, dt, bounds, st), dt)
+                env[dst] = ("b", np.asarray(r, dtype=dt))
+            return scalar_un
 
         if op == "cmp":
-            na = env[ins.srcs[0].id]
-            nb = env[ins.srcs[1].id]
-            if na[0] == "i" and nb[0] == "i":
-                r = _CMP_OPERATORS[imm["op"]](na[1], nb[1])
-                env[ins.dst.id] = ("i", _I8_ONE if r else _I8_ZERO)
-                return
-            a = _mat(na, st)
-            b = _mat(nb, st)
-            env[ins.dst.id] = ("b", _CMP[imm["op"]](a, b).astype(np.int8))
-            return
+            pycmp = _CMP_OPERATORS[imm["op"]]
+            npcmp = _CMP[imm["op"]]
+            a, b = src
+
+            def cmp(env, st):
+                na = env[a]
+                nb = env[b]
+                if na[0] == "i" and nb[0] == "i":
+                    env[dst] = ("i", _I8_ONE if pycmp(na[1], nb[1])
+                                else _I8_ZERO)
+                    return
+                r = npcmp(_mat(na, st), _mat(nb, st))
+                env[dst] = ("b", r.astype(np.int8))
+            return cmp
 
         if op == "select":
-            nc = env[ins.srcs[0].id]
-            na = env[ins.srcs[1].id]
-            nb = env[ins.srcs[2].id]
-            if nc[0] == "i":
-                env[ins.dst.id] = na if nc[1] else nb
-                return
-            a = _mat(na, st)
-            b = _mat(nb, st)
-            da = getattr(a, "dtype", None)
-            if da is None or da != getattr(b, "dtype", None):
-                raise _Bail(dead=True)
-            c = _mat(nc, st)
-            env[ins.dst.id] = ("b", np.where(c.astype(bool), a, b))
-            return
+            c, a, b = src
+
+            def select(env, st):
+                nc = env[c]
+                na = env[a]
+                nb = env[b]
+                if nc[0] == "i":
+                    env[dst] = na if nc[1] else nb
+                    return
+                va = _mat(na, st)
+                vb = _mat(nb, st)
+                da = getattr(va, "dtype", None)
+                if da is None or da != getattr(vb, "dtype", None):
+                    raise _Bail(dead=True)
+                vc = _mat(nc, st)
+                env[dst] = ("b", np.where(vc.astype(bool), va, vb))
+            return select
 
         if op == "cvt":
-            node = env[ins.srcs[0].id]
-            if node[0] != "i":
-                raise _Bail(dead=True)
             to = imm["to"]
             T = to.numpy_dtype.type
-            v = node[1]
-            if to.is_float:
-                env[ins.dst.id] = ("i", T(v))
-            else:
+            to_float = to.is_float
+            (a,) = src
+
+            def cvt(env, st):
+                node = env[a]
+                if node[0] != "i":
+                    raise _Bail(dead=True)
+                v = node[1]
+                if to_float:
+                    env[dst] = ("i", T(v))
+                    return
                 if isinstance(v, (np.floating, float)):
                     v = int(v)
-                env[ins.dst.id] = ("i", T(np.int64(v)))
-            return
+                env[dst] = ("i", T(np.int64(v)))
+            return cvt
 
+        if op in ("load", "vload_a", "vload_u"):
+            return self._compile_load(op, imm, dst, src, pos)
+
+        if op in ("store", "vstore_a", "vstore_u"):
+            return self._compile_store(op, imm, src, pos)
+
+        if op == "spill_ld":
+            key = imm["slot"]
+
+            def spill_ld(env, st):
+                if key in st.wsp:
+                    env[dst] = st.wsp[key]
+                elif key in st.sp:
+                    env[dst] = ("i", st.sp[key])
+                else:
+                    raise _Bail()
+            return spill_ld
+
+        if op == "spill_st":
+            key = imm["slot"]
+            (a,) = src
+
+            def spill_st(env, st):
+                st.wsp[key] = env[a]
+            return spill_st
+
+        if op == "arr_overlap":
+            i1 = self.arr_index[imm["a1"]]
+            i2 = self.arr_index[imm["a2"]]
+
+            def arr_overlap(env, st):
+                same = st.bufs[i1]._raw is st.bufs[i2]._raw
+                env[dst] = ("i", _I8_ONE if same else _I8_ZERO)
+            return arr_overlap
+
+        if op == "arr_aligned":
+            ai = self.arr_index[imm["array"]]
+            align = imm["align"]
+
+            def arr_aligned(env, st):
+                ok = st.bufs[ai].address_of(0) % align == 0
+                env[dst] = ("i", _I8_ONE if ok else _I8_ZERO)
+            return arr_aligned
+
+        return self._compile_vector(op, imm, dst, src)
+
+    def _compile_scalar_bin(self, op, imm, dst, src):
+        dt = imm["type"].numpy_dtype
+        T = dt.type
+        bounds = _bounds(dt)
+        calc = _binary(op, dt)
+        affine = None
+        if bounds is not None and op in ("add", "sub", "mul", "shl"):
+            affine = _affine_fold(op, dt)
+            lo, hi = bounds
+        a, b = src
+
+        def scalar_bin(env, st):
+            na = env[a]
+            nb = env[b]
+            if na[0] == "i" and nb[0] == "i":
+                env[dst] = ("i", calc(_cast_inv(na[1], T),
+                                      _cast_inv(nb[1], T)))
+                return
+            if affine is not None and na[0] != "b" and nb[0] != "b":
+                k = st.k
+                ai = _int_operand(na, T, lo, hi, k)
+                bi = _int_operand(nb, T, lo, hi, k)
+                if ai is not None and bi is not None:
+                    folded = affine(ai, bi)
+                    if folded is not None:
+                        node = _aff_or_none(folded[0], folded[1], dt, lo,
+                                            hi, k)
+                        if node is not None:
+                            env[dst] = node
+                            return
+            r = calc(_batch_scalar(na, dt, bounds, st),
+                     _batch_scalar(nb, dt, bounds, st))
+            env[dst] = ("b", np.asarray(r, dtype=dt))
+        return scalar_bin
+
+    def _compile_load(self, op, imm, dst, src, pos):
+        ai = self.arr_index[imm["array"]]
+        (a,) = src
         if op == "load":
             dt = imm["type"].numpy_dtype
             width = dt.itemsize
-            buf = self._buf(imm["array"], st)
-            base, coef = self._addr(env[ins.srcs[0].id])
-            lo = buf._base + base
-            raw = buf._raw
-            if coef == 0:
-                if lo < 0 or lo + width > raw.shape[0]:
-                    raise _Bail()
-                loads.append((id(raw), lo, 0, width, pos))
-                env[ins.dst.id] = ("i", raw[lo:lo + width].view(dt)[0])
-                return
-            if coef != width:
-                raise _Bail()
-            if lo < 0 or lo + k * width > raw.shape[0]:
-                raise _Bail()
-            loads.append((id(raw), lo, coef, width, pos))
-            env[ins.dst.id] = ("b", raw[lo:lo + k * width].view(dt).copy())
-            return
 
-        if op in ("vload_a", "vload_u"):
-            dt = imm["elem"].numpy_dtype
-            nb_ = dt.itemsize * imm["lanes"]
-            buf = self._buf(imm["array"], st)
-            base, coef = self._addr(env[ins.srcs[0].id])
+            def load(env, st):
+                buf = st.bufs[ai]
+                base, coef = _addr(env[a])
+                lo = buf._base + base
+                raw = buf._raw
+                if coef == 0:
+                    if lo < 0 or lo + width > raw.shape[0]:
+                        raise _Bail()
+                    st.loads.append((id(raw), lo, 0, width, pos))
+                    env[dst] = ("i", raw[lo:lo + width].view(dt)[0])
+                    return
+                if coef != width:
+                    raise _Bail(fixed=True)
+                k = st.k
+                if lo < 0 or lo + k * width > raw.shape[0]:
+                    raise _Bail()
+                st.loads.append((id(raw), lo, coef, width, pos))
+                env[dst] = ("b", raw[lo:lo + k * width].view(dt).copy())
+            return load
+
+        dt = imm["elem"].numpy_dtype
+        lanes = imm["lanes"]
+        nb = dt.itemsize * lanes
+        vs = self.vs if op == "vload_a" else None
+
+        def vload(env, st):
+            buf = st.bufs[ai]
+            base, coef = _addr(env[a])
             lo = buf._base + base
             raw = buf._raw
-            if op == "vload_a" and (lo % self.vs != 0
-                                    or coef % self.vs != 0):
+            if vs is not None and lo % vs != 0:
                 raise _Bail()
+            if vs is not None and coef % vs != 0:
+                raise _Bail(fixed=True)
             if coef == 0:
-                if lo < 0 or lo + nb_ > raw.shape[0]:
+                if lo < 0 or lo + nb > raw.shape[0]:
                     raise _Bail()
-                loads.append((id(raw), lo, 0, nb_, pos))
-                env[ins.dst.id] = ("i", raw[lo:lo + nb_].view(dt).copy())
+                st.loads.append((id(raw), lo, 0, nb, pos))
+                env[dst] = ("i", raw[lo:lo + nb].view(dt).copy())
                 return
-            if coef != nb_:
+            if coef != nb:
+                raise _Bail(fixed=True)
+            k = st.k
+            if lo < 0 or lo + k * nb > raw.shape[0]:
                 raise _Bail()
-            if lo < 0 or lo + k * nb_ > raw.shape[0]:
-                raise _Bail()
-            loads.append((id(raw), lo, coef, nb_, pos))
-            env[ins.dst.id] = (
-                "b",
-                raw[lo:lo + k * nb_].view(dt).copy().reshape(
-                    k, imm["lanes"]
-                ),
+            st.loads.append((id(raw), lo, coef, nb, pos))
+            env[dst] = (
+                "b", raw[lo:lo + k * nb].view(dt).copy().reshape(k, lanes)
             )
-            return
+        return vload
 
+    def _compile_store(self, op, imm, src, pos):
+        ai = self.arr_index[imm["array"]]
+        a, v = src
         if op == "store":
             dt = imm["type"].numpy_dtype
             width = dt.itemsize
-            buf = self._buf(imm["array"], st)
-            base, coef = self._addr(env[ins.srcs[0].id])
-            lo = buf._base + base
-            raw = buf._raw
-            if coef != width:
-                raise _Bail()
-            if lo < 0 or lo + k * width > raw.shape[0]:
-                raise _Bail()
-            payload = self._store_payload(env[ins.srcs[1].id], dt, st)
-            stores.append(
-                (id(raw), raw, lo, coef, width, pos, dt, None, payload)
-            )
-            return
+            bounds = _bounds(dt)
 
-        if op in ("vstore_a", "vstore_u"):
-            buf = self._buf(imm["array"], st)
-            base, coef = self._addr(env[ins.srcs[0].id])
+            def store(env, st):
+                buf = st.bufs[ai]
+                base, coef = _addr(env[a])
+                lo = buf._base + base
+                raw = buf._raw
+                if coef != width:
+                    raise _Bail(fixed=True)
+                if lo < 0 or lo + st.k * width > raw.shape[0]:
+                    raise _Bail()
+                payload = _store_payload(env[v], bounds, st)
+                st.stores.append(
+                    (id(raw), raw, lo, coef, width, pos, dt, None, payload)
+                )
+            return store
+
+        vs = self.vs if op == "vstore_a" else None
+
+        def vstore(env, st):
+            buf = st.bufs[ai]
+            base, coef = _addr(env[a])
             lo = buf._base + base
             raw = buf._raw
-            node = env[ins.srcs[1].id]
+            node = env[v]
             p = _mat(node, st)
             if not isinstance(p, np.ndarray):
                 raise _Bail(dead=True)
+            k = st.k
             if node[0] == "b":
                 if p.ndim != 2 or p.shape[0] != k:
                     raise _Bail(dead=True)
@@ -1743,210 +1887,228 @@ class _BatchPlan:
                     raise _Bail(dead=True)
                 lanes = p.shape[0]
             row_nb = p.dtype.itemsize * lanes
-            if op == "vstore_a" and (lo % self.vs != 0
-                                     or coef % self.vs != 0):
+            if vs is not None and lo % vs != 0:
                 raise _Bail()
+            if vs is not None and coef % vs != 0:
+                raise _Bail(fixed=True)
             if coef != row_nb:
-                raise _Bail()
+                raise _Bail(fixed=True)
             if lo < 0 or lo + k * row_nb > raw.shape[0]:
                 raise _Bail()
-            stores.append(
+            st.stores.append(
                 (id(raw), raw, lo, coef, row_nb, pos, p.dtype, lanes, p)
             )
-            return
+        return vstore
 
-        if op == "spill_ld":
-            key = imm["slot"]
-            if key in wsp:
-                env[ins.dst.id] = wsp[key]
-            elif key in sp:
-                env[ins.dst.id] = ("i", sp[key])
-            else:
-                raise _Bail()
-            return
-        if op == "spill_st":
-            wsp[imm["slot"]] = env[ins.srcs[0].id]
-            return
-
-        if op == "arr_overlap":
-            b1 = self._buf(imm["a1"], st)
-            b2 = self._buf(imm["a2"], st)
-            env[ins.dst.id] = (
-                "i", _I8_ONE if b1._raw is b2._raw else _I8_ZERO
-            )
-            return
-        if op == "arr_aligned":
-            buf = self._buf(imm["array"], st)
-            env[ins.dst.id] = (
-                "i",
-                _I8_ONE if buf.address_of(0) % imm["align"] == 0
-                else _I8_ZERO,
-            )
-            return
-
+    def _compile_vector(self, op, imm, dst, src):  # noqa: C901
         if op == "vconst":
             dt = imm["elem"].numpy_dtype
             lanes = imm["lanes"]
             values = imm["values"]
             reps = -(-lanes // len(values))
-            v = np.tile(np.asarray(values, dtype=dt), reps)[:lanes].copy()
-            env[ins.dst.id] = ("i", v)
-            return
+            return _constant(dst, ("i", _frozen(
+                np.tile(np.asarray(values, dtype=dt), reps)[:lanes].copy()
+            )))
+
         if op == "vsplat":
             dt = imm["elem"].numpy_dtype
+            bounds = _bounds(dt)
             lanes = imm["lanes"]
-            node = env[ins.srcs[0].id]
-            if node[0] == "i":
-                env[ins.dst.id] = (
-                    "i", np.full(lanes, node[1], dtype=dt)
-                )
-                return
-            col = self._batch_scalar(node, dt, st)
-            env[ins.dst.id] = (
-                "b", np.repeat(col, lanes).reshape(k, lanes)
-            )
-            return
+            (a,) = src
+
+            def vsplat(env, st):
+                node = env[a]
+                if node[0] == "i":
+                    env[dst] = ("i", np.full(lanes, node[1], dtype=dt))
+                    return
+                col = _batch_scalar(node, dt, bounds, st)
+                env[dst] = ("b", np.repeat(col, lanes).reshape(st.k, lanes))
+            return vsplat
+
         if op == "vaffine":
-            na = env[ins.srcs[0].id]
-            nb = env[ins.srcs[1].id]
-            if na[0] != "i" or nb[0] != "i":
-                raise _Bail(dead=True)
             dt = imm["elem"].numpy_dtype
             T = dt.type
-            idx = np.arange(imm["lanes"], dtype=dt)
-            env[ins.dst.id] = (
-                "i", (T(na[1]) + idx * T(nb[1])).astype(dt)
-            )
-            return
+            idx = _frozen(np.arange(imm["lanes"], dtype=dt))
+            a, b = src
+
+            def vaffine(env, st):
+                na = env[a]
+                nb = env[b]
+                if na[0] != "i" or nb[0] != "i":
+                    raise _Bail(dead=True)
+                env[dst] = ("i", (T(na[1]) + idx * T(nb[1])).astype(dt))
+            return vaffine
 
         if op in _VECTOR_BIN:
             dt = imm["elem"].numpy_dtype
-            canon = _canon(op)
-            na = env[ins.srcs[0].id]
-            nb = env[ins.srcs[1].id]
-            a = self._vec_operand(na)
-            b = self._vec_operand(nb)
-            if canon == "add":
-                r = a + b
-            elif canon == "sub":
-                r = a - b
-            elif canon == "mul":
-                r = a * b
-            else:
-                r = _BIN_FUNCS[canon](a, b, dt)
-            r = np.asarray(r, dtype=dt)
-            kind = "i" if na[0] == "i" and nb[0] == "i" else "b"
-            env[ins.dst.id] = (kind, r)
-            return
+            calc = _binary(_canon(op), dt)
+            a, b = src
+
+            def vector_bin(env, st):
+                na = env[a]
+                nb = env[b]
+                r = np.asarray(calc(_vec_operand(na), _vec_operand(nb)),
+                               dtype=dt)
+                env[dst] = ("i" if na[0] == "i" and nb[0] == "i" else "b", r)
+            return vector_bin
+
         if op in _VECTOR_UN:
             dt = imm["elem"].numpy_dtype
-            node = env[ins.srcs[0].id]
-            a = self._vec_operand(node)
-            r = np.asarray(_UN_FUNCS[_canon(op)](a, dt), dtype=dt)
-            env[ins.dst.id] = (node[0], r)
-            return
+            fn = _UN_FUNCS[_canon(op)]
+            (a,) = src
+
+            def vector_un(env, st):
+                node = env[a]
+                r = np.asarray(fn(_vec_operand(node), dt), dtype=dt)
+                env[dst] = (node[0], r)
+            return vector_un
+
         if op == "vcmp":
-            na = env[ins.srcs[0].id]
-            nb = env[ins.srcs[1].id]
-            a = self._vec_operand(na)
-            b = self._vec_operand(nb)
-            r = _CMP[imm["op"]](a, b).astype(np.int8)
-            kind = "i" if na[0] == "i" and nb[0] == "i" else "b"
-            env[ins.dst.id] = (kind, r)
-            return
+            fn = _CMP[imm["op"]]
+            a, b = src
+
+            def vcmp(env, st):
+                na = env[a]
+                nb = env[b]
+                r = fn(_vec_operand(na), _vec_operand(nb)).astype(np.int8)
+                env[dst] = ("i" if na[0] == "i" and nb[0] == "i" else "b", r)
+            return vcmp
+
         if op == "vselect":
-            nc = env[ins.srcs[0].id]
-            na = env[ins.srcs[1].id]
-            nb = env[ins.srcs[2].id]
-            c = self._vec_operand(nc)
-            a = self._vec_operand(na)
-            b = self._vec_operand(nb)
-            inv = nc[0] == "i" and na[0] == "i" and nb[0] == "i"
-            if not inv:
-                da = getattr(a, "dtype", None)
-                if da is None or da != getattr(b, "dtype", None):
-                    raise _Bail(dead=True)
-            r = np.where(c.astype(bool), a, b)
-            env[ins.dst.id] = ("i" if inv else "b", r)
-            return
+            c, a, b = src
+
+            def vselect(env, st):
+                nc = env[c]
+                na = env[a]
+                nb = env[b]
+                vc = _vec_operand(nc)
+                va = _vec_operand(na)
+                vb = _vec_operand(nb)
+                inv = nc[0] == "i" and na[0] == "i" and nb[0] == "i"
+                if not inv:
+                    da = getattr(va, "dtype", None)
+                    if da is None or da != getattr(vb, "dtype", None):
+                        raise _Bail(dead=True)
+                env[dst] = ("i" if inv else "b",
+                            np.where(vc.astype(bool), va, vb))
+            return vselect
+
         if op == "vcvt":
             to = imm["to"]
             dt = to.numpy_dtype
-            node = env[ins.srcs[0].id]
-            a = self._vec_operand(node)
-            r = a.astype(dt) if to.is_float else np.trunc(a).astype(dt)
-            env[ins.dst.id] = (node[0], r)
-            return
+            to_float = to.is_float
+            (a,) = src
+
+            def vcvt(env, st):
+                node = env[a]
+                x = _vec_operand(node)
+                r = x.astype(dt) if to_float else np.trunc(x).astype(dt)
+                env[dst] = (node[0], r)
+            return vcvt
 
         # Widening and narrowing: emit()'s slicing and astype, applied to
         # the last (lane) axis of a batch node.
         if op in ("vunpack", "vwidenmul"):
             dt = imm["elem"].numpy_dtype
-            nodes = [env[r.id] for r in ins.srcs]
-            xs = [self._vec_operand(n) for n in nodes]
-            m = xs[0].shape[-1]
-            sl = slice(0, m // 2) if imm["half"] == "lo" else slice(m // 2, m)
-            r = xs[0][..., sl].astype(dt)
-            if op == "vwidenmul":
-                r = r * xs[1][..., sl].astype(dt)
-            kind = "i" if all(n[0] == "i" for n in nodes) else "b"
-            env[ins.dst.id] = (kind, r)
-            return
+            lo_half = imm["half"] == "lo"
+            mul = op == "vwidenmul"
+
+            def widen(env, st):
+                nodes = [env[r] for r in src]
+                xs = [_vec_operand(n) for n in nodes]
+                m = xs[0].shape[-1]
+                sl = slice(0, m // 2) if lo_half else slice(m // 2, m)
+                r = xs[0][..., sl].astype(dt)
+                if mul:
+                    r = r * xs[1][..., sl].astype(dt)
+                kind = "i" if all(n[0] == "i" for n in nodes) else "b"
+                env[dst] = (kind, r)
+            return widen
+
         if op == "vpack":
             dt = imm["elem"].numpy_dtype
-            na = env[ins.srcs[0].id]
-            nb = env[ins.srcs[1].id]
-            a = self._vec_operand(na)
-            b = self._vec_operand(nb)
-            if na[0] == "i" and nb[0] == "i":
-                env[ins.dst.id] = ("i", np.concatenate([a, b]).astype(dt))
-                return
-            a, b = (np.broadcast_to(v, (k, v.shape[-1])) for v in (a, b))
-            env[ins.dst.id] = (
-                "b", np.concatenate([a, b], axis=1).astype(dt)
-            )
-            return
+            a, b = src
 
-        raise _Bail(dead=True)
+            def vpack(env, st):
+                na = env[a]
+                nb = env[b]
+                va = _vec_operand(na)
+                vb = _vec_operand(nb)
+                if na[0] == "i" and nb[0] == "i":
+                    env[dst] = ("i", np.concatenate([va, vb]).astype(dt))
+                    return
+                k = st.k
+                va, vb = (np.broadcast_to(x, (k, x.shape[-1]))
+                          for x in (va, vb))
+                env[dst] = (
+                    "b", np.concatenate([va, vb], axis=1).astype(dt)
+                )
+            return vpack
 
-    def _fold(self, ins, j, env, acc, st):
-        """Accumulator op ``ins`` (sum in operand ``j``) run ``k`` times:
-        the ``k`` addends as one batch, then added to ``acc`` one
-        iteration after another by ``np.add.accumulate``.  A pairwise sum
-        would round a float differently.  A NaN addend bails: which of
-        two NaNs an add returns depends on operand order, and numpy's
-        scalar and array adds differ there."""
-        k = st.k
-        if ins.op == "add":
+        def unsupported(env, st):
+            raise _Bail(dead=True)
+        return unsupported
+
+    def _compile_fold(self, ins, dst, src, i, j):
+        """Accumulator op ``ins`` (sum in operand ``j``, running value in
+        ``st.accs[i]``) run ``k`` times: the ``k`` addends as one batch,
+        then added to the sum one iteration after another by
+        ``np.add.accumulate``.  A pairwise sum would round a float
+        differently.  A NaN addend bails: which of two NaNs an add
+        returns depends on operand order, and numpy's scalar and array
+        adds differ there."""
+        op = ins.op
+        other = src[1 - j]
+        if op == "add":
             dt = ins.imm["type"].numpy_dtype
-            acc = _cast_inv(acc, dt.type)
-            add = self._batch_scalar(env[ins.srcs[1 - j].id], dt, st)
+            T = dt.type
+            bounds = _bounds(dt)
+
+            def addends(env, acc, st):
+                return (_cast_inv(acc, T),
+                        _batch_scalar(env[other], dt, bounds, st))
         else:
             dt = ins.imm["elem"].numpy_dtype
-            if ins.op == "vadd":
-                add = self._vec_operand(env[ins.srcs[1 - j].id])
+            if op == "vadd":
+                def batch(env):
+                    return _vec_operand(env[other])
             elif dt.kind in "iu":
                 # vdot: emit()'s widened products, pair-summed per lane
                 # (exact for integers in any layout; a float pair sum's
                 # sign of zero is not, so float vdot stays sequential).
-                a, b = (self._vec_operand(env[r.id]) for r in ins.srcs[:2])
-                w = a.astype(dt) * b.astype(dt)
-                add = w.reshape(w.shape[:-1] + (-1, 2)).sum(axis=-1,
-                                                            dtype=dt)
+                a_id, b_id = src[:2]
+
+                def batch(env):
+                    w = (_vec_operand(env[a_id]).astype(dt)
+                         * _vec_operand(env[b_id]).astype(dt))
+                    return w.reshape(w.shape[:-1] + (-1, 2)).sum(axis=-1,
+                                                                 dtype=dt)
             else:
+                def batch(env):
+                    raise _Bail(dead=True)
+
+            def addends(env, acc, st):
+                add = batch(env)
+                if not isinstance(acc, np.ndarray) or acc.ndim != 1:
+                    raise _Bail(dead=True)
+                return acc, add
+        is_float = dt.kind == "f"
+
+        def fold(env, st):
+            acc, add = addends(env, st.accs[i], st)
+            k = st.k
+            if (acc.dtype != dt or add.dtype != dt
+                    or add.shape not in (acc.shape, (k,) + acc.shape)):
                 raise _Bail(dead=True)
-            if not isinstance(acc, np.ndarray) or acc.ndim != 1:
-                raise _Bail(dead=True)
-        if (acc.dtype != dt or add.dtype != dt
-                or add.shape not in (acc.shape, (k,) + acc.shape)):
-            raise _Bail(dead=True)
-        if dt.kind == "f" and np.isnan(add).any():
-            raise _Bail()
-        rows = np.empty((k + 1,) + acc.shape, dtype=dt)
-        rows[0] = acc
-        rows[1:] = add
-        total = np.add.accumulate(rows, axis=0, dtype=dt)[-1]
-        return total.copy() if acc.ndim else total
+            if is_float and np.isnan(add).any():
+                raise _Bail()
+            rows = np.empty((k + 1,) + acc.shape, dtype=dt)
+            rows[0] = acc
+            rows[1:] = add
+            total = np.add.accumulate(rows, axis=0, dtype=dt)[-1]
+            st.accs[i] = total.copy() if acc.ndim else total
+            env[dst] = _SUM
+        return fold
 
     # -- memory safety and commit ---------------------------------------
 
@@ -1974,7 +2136,7 @@ class _BatchPlan:
                     continue
                 if lpos < spos and (llo, lcoef, lw) == (slo, scoef, sw):
                     continue
-                raise _Bail()
+                raise _Bail(fixed=True)
             for s2 in stores[si + 1:]:
                 if s2[0] != sid:
                     continue
@@ -1983,7 +2145,7 @@ class _BatchPlan:
                     continue
                 if (s2[2], s2[3], s2[4]) == (slo, scoef, sw):
                     continue
-                raise _Bail()
+                raise _Bail(fixed=True)
 
     @staticmethod
     def _commit(stores, k):

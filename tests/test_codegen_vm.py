@@ -1,13 +1,17 @@
 """Codegen-engine specifics and the engine-registry API.
 
 The differential matrix (``tests/test_engine_parity.py``) already proves
-the codegen engine bit-identical to the reference VM at small sizes —
-which, deliberately, exercises the *non*-batched superinstruction path
-(vector trips there are below ``_MIN_BATCH``).  This file covers what
-the matrix cannot:
+the codegen engine bit-identical to the reference VM at small sizes
+(n <= 32), where SSE's f32 vector loops leave fewer than ``_MIN_BATCH``
+iterations and run on the per-iteration superinstruction path
+(``test_matrix_runs_vector_loops_unbatched`` asserts that their plans
+never batch there).  This file covers what the matrix cannot:
 
-* the batched fast path actually engages at realistic sizes and stays
+* the batched fast path actually engages at realistic sizes and on the
+  short trips of e2ebench's warm_hot shapes (n=64), and stays
   bit-identical (values, cycles, instructions, op counts, memory);
+* sizes that share one translation keep batching: no size's run stops
+  a plan that another size batches;
 * the generated source is byte-stable across processes (no ``id()`` /
   ``hash()`` leakage), so compile caches can key on it;
 * the registry API itself: registration rules, error shapes, and — the
@@ -72,6 +76,17 @@ BATCH_CASES = [
 #: does not batch.
 FP_SUM_CASE = ("sfir_fp", 3103, ("sse", "neon"))
 
+#: short trips: e2ebench warm_hot's five shapes at n=64, whose vector
+#: loops leave batches of 15 (SSE) and 31 or 63 (NEON's 8-byte vectors),
+#: all but the last under a gate of 32.
+SHORT_CASES = (
+    ("saxpy_fp", 64, "sse"),
+    ("dscal_fp", 64, "sse"),
+    ("dissolve_fp", 64, "neon"),
+    ("mix_streams_s16", 64, "neon"),
+    ("sfir_fp", 64, "neon"),
+)
+
 
 def _codegen_code(runner, name, size, flow="split_vec_gcc4cli",
                   target_name="sse", count_ops=False) -> tuple:
@@ -92,6 +107,7 @@ def _batch_params():
     name, size, targets = FP_SUM_CASE
     cases = [(t, c) for t in BATCH_TARGETS for c in BATCH_CASES]
     cases += [(t, (name, size)) for t in targets]
+    cases += [(t, (k, n)) for k, n, t in SHORT_CASES]
     for target_name, (name, size) in cases:
         suffix = "" if target_name == "sse" else f"-{target_name}"
         yield pytest.param(name, size, target_name,
@@ -106,14 +122,15 @@ def test_batch_path_engages_and_matches_reference(name, size, target_name,
     )
     assert isinstance(code, CodegenCode)
     eng_bufs = runner.make_buffers(inst)
+    # Sizes of one source share one translation, so count this run's own
+    # batches, not those an earlier test left on the plans.
+    before = [p.batches for p in code.plans]
     eng = code.run(inst.scalar_args, eng_bufs)
     # the planner must actually have fired — otherwise this test silently
     # degrades into a rerun of the small-size matrix.
     assert code.plans, f"{name}: no batch plans were planted"
-    assert any(p.batches > 0 for p in code.plans), (
-        f"{name}@{size}: batch plan never engaged "
-        f"(batches={[p.batches for p in code.plans]})"
-    )
+    ran = [p.batches - b for p, b in zip(code.plans, before)]
+    assert any(ran), f"{name}@{size}: batch plan never engaged ({ran})"
     assert not any(p.dead for p in code.plans if p.batches), (
         f"{name}@{size}: an engaged batch plan bailed permanently"
     )
@@ -179,6 +196,53 @@ def test_batch_chunks_cover_a_trip_longer_than_max_batch(name, failing_chunk,
         )
 
 
+#: cold_mix's kernels whose plans batch (interp_*'s vinterleave loop has
+#: no plan on SSE, and its NEON plan never batches).
+SHARED_SIZE_KERNELS = (
+    "dissolve_s8", "sfir_s16", "mix_streams_s16", "dissolve_fp",
+    "sfir_fp", "dscal_fp", "saxpy_fp",
+)
+
+
+@pytest.mark.parametrize("target_name", ["sse", "neon"])
+@pytest.mark.parametrize("name", SHARED_SIZE_KERNELS)
+def test_sizes_sharing_a_translation_keep_batching(name, target_name,
+                                                   runner):
+    """The size is a run-time argument of these kernels, so every size
+    compiles to one kernel, and the service's hot tier hands every size
+    the same translation.  A rule that stops a plan for good must hold
+    for every size: after runs at n=32, 48 and 64, whose trips are short
+    or barely past _MIN_BATCH, the shared translation still batches
+    n=3103 with the plans a fresh translation batches it with, and every
+    run matches the reference."""
+    kernel = get_kernel(name)
+    target = get_target(target_name)
+    ck = runner.compiled(kernel.instantiate(32), "split_vec_gcc4cli", target)
+    big = kernel.instantiate(3103)
+    fresh = codegen.translate(ck.mfunc, target)
+    fresh.run(big.scalar_args, runner.make_buffers(big))
+    want = [p.batches > 0 for p in fresh.plans]
+    assert any(want), f"{name}: no plan batches n=3103"
+    shared = codegen.translate(ck.mfunc, target)
+    for size in (32, 48, 64, 3103):
+        inst = kernel.instantiate(size)
+        assert runner.compiled(inst, "split_vec_gcc4cli", target) is ck
+        before = [p.batches for p in shared.plans]
+        eng_bufs = runner.make_buffers(inst)
+        eng = shared.run(inst.scalar_args, eng_bufs)
+        ref_bufs = runner.make_buffers(inst)
+        ref = VM(target).run(ck.mfunc, inst.scalar_args, ref_bufs)
+        assert (eng.value, eng.cycles, eng.instructions) \
+            == (ref.value, ref.cycles, ref.instructions), size
+        for pname, buf in ref_bufs.items():
+            np.testing.assert_array_equal(
+                buf.read_elements(), eng_bufs[pname].read_elements(),
+                err_msg=f"{name}@{size}: array {pname!r} diverged",
+            )
+    got = [p.batches > b for p, b in zip(shared.plans, before)]
+    assert got == want, (got, want)
+
+
 def _plan_calls(runner, name, size, target_name):
     """Calls of each plan's ``attempt`` in one run, and the plans."""
     kernel = get_kernel(name)
@@ -199,9 +263,11 @@ def _plan_calls(runner, name, size, target_name):
 def test_plan_is_attempted_once_per_loop_entry(runner):
     """A plan is called at most once per entry into its loop, and not at
     all when the trip left is too short to batch.  saxpy_fp/SSE enters
-    each of its loops once per run: at n=64 no loop is long enough, at
-    n=2048 only the vector loop is, and it batches from its one call."""
-    calls, plans = _plan_calls(runner, "saxpy_fp", 64, "sse")
+    each of its loops once per run: at n=32 no loop is long enough (the
+    vector loop's 8 iterations leave a batch of 7, below ``_MIN_BATCH``),
+    at n=2048 only the vector loop is, and it batches from its one
+    call."""
+    calls, plans = _plan_calls(runner, "saxpy_fp", 32, "sse")
     assert plans and calls == [0] * len(plans), calls
     calls, plans = _plan_calls(runner, "saxpy_fp", 2048, "sse")
     assert sorted(calls) == [0] * (len(plans) - 1) + [1], calls
@@ -210,12 +276,14 @@ def test_plan_is_attempted_once_per_loop_entry(runner):
 
 @pytest.mark.parametrize("target_name", ["sse", "neon"])
 def test_short_trips_skip_the_plan_call(target_name, runner):
-    """MMM_fp's inner loops are shorter than _MIN_BATCH at the default
-    size, and it enters them hundreds of times per run: the header's
+    """MMM_fp's inner loops leave batches shorter than _MIN_BATCH at
+    n=16, and it enters them hundreds of times per run: the header's
     inline trip test skips every call, with the step read from a spill
     slot (SSE) or from a register (NEON)."""
-    calls, plans = _plan_calls(runner, "MMM_fp", None, target_name)
+    calls, plans = _plan_calls(runner, "MMM_fp", 16, target_name)
     assert plans and calls == [0] * len(plans), calls
+    step_kind = {"sse": "spill", "neon": "reg"}[target_name]
+    assert {p.step_src[0] for p in plans} == {step_kind}
 
 
 def test_budget_replay_is_not_in_the_generated_source(runner):

@@ -42,7 +42,9 @@ def _engine_run(ck, engine, scalar_args, bufs, **kw):
 
 
 def _diff_size(kernel) -> int | None:
-    """Small-but-representative sizes so the full matrix stays fast."""
+    """Small-but-representative sizes so the full matrix stays fast, and
+    mostly below codegen's batch gate (see
+    :func:`test_matrix_runs_vector_loops_unbatched`)."""
     if kernel.category != "kernel":
         return None  # polybench defaults are already small (8-24)
     return min(kernel.default_size, 32)
@@ -98,6 +100,26 @@ def test_engines_bit_identical(kernel, engine, diff_runner):
             _assert_identical(
                 ref, eng, rb, eb, f"{kernel}/{flow}/{target_name}/{engine}"
             )
+
+
+@pytest.mark.parametrize("flow", ["split_vec_gcc4cli", "native_vec"])
+def test_matrix_runs_vector_loops_unbatched(flow, diff_runner):
+    """The matrix checks codegen's per-iteration path, not only its
+    batches: at its sizes (n <= 32) an SSE vector loop over f32 runs at
+    most 8 iterations, a batch of 7, below ``_MIN_BATCH``, so the planned
+    vector loops of the streaming f32 kernels never batch.  (2-lane f64
+    loops and NEON's 8-byte vectors do batch at n=32.)"""
+    target = get_target("sse")
+    for name in ("dissolve_fp", "sfir_fp", "saxpy_fp", "dscal_fp"):
+        k = get_kernel(name)
+        inst = k.instantiate(_diff_size(k))
+        ck = diff_runner.compiled(inst, flow, target)
+        code = get_engine("codegen").translate(ck.mfunc, target)
+        code.run(inst.scalar_args, diff_runner.make_buffers(inst))
+        vector = [p for p in code.plans
+                  if any(ins.op.startswith("v") for ins in p.body)]
+        assert vector, f"{name}/{flow}: no planned vector loop"
+        assert [p.batches for p in vector] == [0] * len(vector), name
 
 
 @pytest.mark.parametrize("engine", CANDIDATE_ENGINES)
